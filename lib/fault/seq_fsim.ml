@@ -9,12 +9,12 @@
 
    Simulation is parallel-fault: up to 62 faulty machines run per word, one
    lane each.  Phase 1's scan-in selection instead runs one fault across 62
-   *candidate initial states* per word; both modes share the same engine.
+   *candidate initial states* per word; both modes share the same kernel.
 
    On top of the word-level parallelism, every entry point takes an
    optional [pool] (see Asc_util.Domain_pool): fault groups (or, in
    [candidate_detections], fault indices) are split into contiguous chunks
-   and simulated on worker domains.  Each chunk owns a private engine — no
+   and simulated on worker domains.  Each chunk owns a private kernel — no
    simulation state is shared between domains; the fault-free trace and the
    packed PI words are shared read-only.  Chunks report results into
    chunk-indexed slots which the submitting domain merges in index order,
@@ -32,10 +32,8 @@
 
 open Asc_util
 module Circuit = Asc_netlist.Circuit
-module Engine2 = Asc_sim.Engine2
 module Engine3 = Asc_sim.Engine3
 module Kernel = Asc_sim.Kernel
-module Sim_kernel = Asc_sim.Sim_kernel
 
 type seq = bool array array (* L vectors, each of n_pis bools *)
 
@@ -54,19 +52,22 @@ let seq_words c (seq : seq) =
 type good = { po : int array array; states : int array array }
 
 let good_run c ~si ~seq =
+  if Array.length si <> Circuit.n_dffs c then
+    invalid_arg "Seq_fsim.good_run: state arity";
   let sw = seq_words c seq in
   let len = Array.length seq in
-  let engine = Engine2.create c [] in
-  Engine2.set_state_bools engine si;
-  let n_po = Circuit.n_outputs c and n_ff = Circuit.n_dffs c in
+  let k = Kernel.create c in
+  let outputs = Circuit.outputs c in
+  let v = Array.make (Circuit.n_gates c) 0 in
+  let state = Array.map Word.splat si in
   let po = Array.make len [||] in
   let states = Array.make (len + 1) [||] in
-  states.(0) <- Engine2.state_words engine;
+  states.(0) <- Array.copy state;
   for t = 0 to len - 1 do
-    Engine2.eval engine ~pi_words:sw.(t);
-    po.(t) <- Array.init n_po (Engine2.po_word engine);
-    Engine2.capture engine;
-    states.(t + 1) <- Array.init n_ff (Engine2.state_word engine)
+    Kernel.good_cycle k ~pi_words:sw.(t) ~state ~v;
+    po.(t) <- Array.map (Array.get v) outputs;
+    Kernel.good_capture k ~v ~state;
+    states.(t + 1) <- Array.copy state
   done;
   { po; states }
 
@@ -102,18 +103,16 @@ let subset_of_only n = function
 (* Compaction re-simulates the same scan test (si, seq) many times against
    different fault subsets — detect, then profile, then verify — and
    Phase 1 re-runs the same candidate scan-in groups.  The fault-free
-   trace depends only on (circuit, scan-in, seq), so the levelized path
-   computes it once and shares it read-only: across calls through this
-   cache, and across domains because only the submitting domain ever
-   writes it.
+   trace depends only on (circuit, scan-in, seq), so it is computed once
+   and shared read-only: across calls through this cache, and across
+   domains because only the submitting domain ever writes it.
 
    Scan-test traces carry one faulty-machine test per call, so their good
    words are splat and stored compactly (one byte per gate per cycle);
    candidate traces (lanes = candidate scan-in states) store full words.
    The cache is process-global, mutex-protected and LRU-bounded by a byte
    budget; circuits are keyed by physical identity, so a rebuilt netlist
-   never aliases a stale trace.  Only the levelized kernel uses it — the
-   reference path recomputes traces, keeping the escape hatch honest. *)
+   never aliases a stale trace. *)
 module Trace_cache = struct
   type flavor = Splat of bool array | Packed of int array
 
@@ -228,13 +227,14 @@ let good_cand_gw tel k c ~init_words ~sw ~seq ~len =
         (len * n * 8);
       ws
 
-(* Levelized detection of one fault group: same loop structure (and so
-   the same early exit and detection words) as [detect_group], with the
-   per-cycle work cone-limited by the kernel.  Lanes already detected
-   are pruned from the propagation — their detection bit is a monotonic
-   OR, so the result word is unchanged while the cone shrinks to the
-   still-undetected faults. *)
-let detect_group_lv k ~gb ~len ~cycles (group : group) =
+(* Detection word of one fault group over the whole test, with an early
+   exit once every lane has seen a PO difference; the scan-out (final
+   state) difference is folded in only when the early exit did not fire.
+   Lanes already detected are pruned from the propagation — their
+   detection bit is a monotonic OR, so the result word is unchanged while
+   the cone shrinks to the still-undetected faults.  [cycles] accumulates
+   the evaluated time units (telemetry). *)
+let detect_group k ~gb ~len ~cycles (group : group) =
   Kernel.set_overrides k group.overrides;
   Kernel.reset k;
   let det = ref 0 in
@@ -249,53 +249,15 @@ let detect_group_lv k ~gb ~len ~cycles (group : group) =
   if !t = len && !det <> group.lanes then det := !det lor Kernel.state_diff_word k;
   !det land group.lanes
 
-(* Accumulate PO differences of one evaluated cycle. *)
-let po_diff engine (good : good) t =
-  let diff = ref 0 in
-  let gpo = good.po.(t) in
-  for i = 0 to Array.length gpo - 1 do
-    diff := !diff lor (Engine2.po_word engine i lxor gpo.(i))
-  done;
-  !diff
-
-let state_diff engine (good : good) boundary =
-  let diff = ref 0 in
-  let gst = good.states.(boundary) in
-  for i = 0 to Array.length gst - 1 do
-    diff := !diff lor (Engine2.state_word engine i lxor gst.(i))
-  done;
-  !diff
-
-(* Detection word of one fault group over the whole test, with an early
-   exit once every lane has seen a PO difference; the scan-out (final
-   state) difference is folded in only when the early exit did not fire.
-   [cycles] accumulates the evaluated time units (telemetry). *)
-let detect_group engine ~si ~sw ~good ~len ~cycles (group : group) =
-  Engine2.set_overrides engine group.overrides;
-  Engine2.set_state_bools engine si;
-  let det = ref 0 in
-  let t = ref 0 in
-  while !det <> group.lanes && !t < len do
-    Engine2.eval engine ~pi_words:sw.(!t);
-    det := !det lor po_diff engine good !t;
-    Engine2.capture engine;
-    incr t
-  done;
-  cycles := !cycles + !t;
-  if !t = len && !det <> group.lanes then det := !det lor state_diff engine good len;
-  !det land group.lanes
-
 (* Chunked parallel sweep over [groups]: each chunk simulates a contiguous
-   group range on its own engine (built by [make_engine] — an Engine2 on
-   the reference path, a Kernel on the levelized one) and fills its own
-   result slot; [merge] is then applied chunk by chunk on the submitting
-   domain, in index order. *)
-let sweep_groups ?pool ~make_engine groups ~chunk ~merge ~empty =
+   group range on its own kernel and fills its own result slot; [merge] is
+   then applied chunk by chunk on the submitting domain, in index order. *)
+let sweep_groups ?pool c groups ~chunk ~merge ~empty =
   let n = Array.length groups in
   let ranges = Domain_pool.split ~n ~pieces:(Domain_pool.chunk_count pool n) in
   let parts = Array.make (Array.length ranges) empty in
   Domain_pool.run_opt pool (Array.length ranges) (fun ci ->
-      parts.(ci) <- chunk (make_engine ()) ranges.(ci));
+      parts.(ci) <- chunk (Kernel.create c) ranges.(ci));
   Array.iteri (fun ci part -> merge ranges.(ci) part) parts
 
 (* Which of [faults] does the scan test (si, seq) detect?  [only] restricts
@@ -317,57 +279,28 @@ let detect ?pool ?(budget = Budget.unlimited) ?tel ?only c ~si ~seq ~faults =
         let len = Array.length seq in
         let groups = make_groups faults subset in
         let merge _range hits = List.iter (Bitvec.set result) hits in
-        (match Sim_kernel.current () with
-        | Sim_kernel.Reference ->
-            let good = good_run c ~si ~seq in
-            Telemetry.add tel Telemetry.Good_cycles len;
-            let chunk engine (start, count) =
-              let hits = ref [] and nhits = ref 0 and lanes = ref 0 and cycles = ref 0 in
-              for gi = start to start + count - 1 do
-                Budget.check budget;
-                let group = groups.(gi) in
-                let d = detect_group engine ~si ~sw ~good ~len ~cycles group in
-                lanes := !lanes + Array.length group.members;
-                Word.iter_set
-                  (fun lane ->
-                    hits := group.members.(lane) :: !hits;
-                    incr nhits)
-                  d
-              done;
-              Telemetry.add tel Telemetry.Faults_simulated !lanes;
-              Telemetry.add tel Telemetry.Faulty_cycles !cycles;
-              Telemetry.add tel Telemetry.Fault_detections !nhits;
-              Telemetry.add tel Telemetry.Budget_polls count;
-              !hits
-            in
-            sweep_groups ?pool
-              ~make_engine:(fun () -> Engine2.create c [])
-              groups ~chunk ~empty:[] ~merge
-        | Sim_kernel.Levelized ->
-            let gb = good_gb tel (Kernel.create c) c ~si ~sw ~seq ~len in
-            let chunk k (start, count) =
-              let hits = ref [] and nhits = ref 0 and lanes = ref 0 and cycles = ref 0 in
-              for gi = start to start + count - 1 do
-                Budget.check budget;
-                let group = groups.(gi) in
-                let d = detect_group_lv k ~gb ~len ~cycles group in
-                lanes := !lanes + Array.length group.members;
-                Word.iter_set
-                  (fun lane ->
-                    hits := group.members.(lane) :: !hits;
-                    incr nhits)
-                  d
-              done;
-              Telemetry.add tel Telemetry.Faults_simulated !lanes;
-              Telemetry.add tel Telemetry.Faulty_cycles !cycles;
-              Telemetry.add tel Telemetry.Fault_detections !nhits;
-              Telemetry.add tel Telemetry.Budget_polls count;
-              Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k);
-              !hits
-            in
-            sweep_groups ?pool
-              ~make_engine:(fun () -> Kernel.create c)
-              groups ~chunk ~empty:[] ~merge);
+        let gb = good_gb tel (Kernel.create c) c ~si ~sw ~seq ~len in
+        let chunk k (start, count) =
+          let hits = ref [] and nhits = ref 0 and lanes = ref 0 and cycles = ref 0 in
+          for gi = start to start + count - 1 do
+            Budget.check budget;
+            let group = groups.(gi) in
+            let d = detect_group k ~gb ~len ~cycles group in
+            lanes := !lanes + Array.length group.members;
+            Word.iter_set
+              (fun lane ->
+                hits := group.members.(lane) :: !hits;
+                incr nhits)
+              d
+          done;
+          Telemetry.add tel Telemetry.Faults_simulated !lanes;
+          Telemetry.add tel Telemetry.Faulty_cycles !cycles;
+          Telemetry.add tel Telemetry.Fault_detections !nhits;
+          Telemetry.add tel Telemetry.Budget_polls count;
+          Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k);
+          !hits
+        in
+        sweep_groups ?pool c groups ~chunk ~empty:[] ~merge;
         result)
 
 (* Detection-time profile over a fault subset.
@@ -404,73 +337,36 @@ let profile ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~subset =
   in
   (* A chunk covers subset positions [gstart*W, gstart*W + span) and
      returns its profile slices; the submitter blits them into place. *)
-  (match Sim_kernel.current () with
-  | Sim_kernel.Reference ->
-      let good = good_run c ~si ~seq in
-      Telemetry.add tel Telemetry.Good_cycles len;
-      let chunk engine (gstart, gcount) =
-        let base0 = gstart * Word.width in
-        let span = min total ((gstart + gcount) * Word.width) - base0 in
-        let po = Array.make span max_int in
-        let sdiff = Array.init span (fun _ -> Bitvec.create len) in
-        Telemetry.add tel Telemetry.Faults_simulated span;
-        Telemetry.add tel Telemetry.Faulty_cycles (gcount * len);
-        Telemetry.add tel Telemetry.Budget_polls gcount;
-        for gi = gstart to gstart + gcount - 1 do
-          Budget.check budget;
-          let group = groups.(gi) in
-          let base = (gi * Word.width) - base0 in
-          Engine2.set_overrides engine group.overrides;
-          Engine2.set_state_bools engine si;
-          let po_seen = ref 0 in
-          for t = 0 to len - 1 do
-            Engine2.eval engine ~pi_words:sw.(t);
-            let fresh = po_diff engine good t land group.lanes land lnot !po_seen in
-            Word.iter_set (fun lane -> po.(base + lane) <- t) fresh;
-            po_seen := !po_seen lor fresh;
-            Engine2.capture engine;
-            let sd = state_diff engine good (t + 1) land group.lanes in
-            Word.iter_set (fun lane -> Bitvec.set sdiff.(base + lane) t) sd
-          done
-        done;
-        (po, sdiff)
-      in
-      sweep_groups ?pool
-        ~make_engine:(fun () -> Engine2.create c [])
-        groups ~chunk ~empty:([||], [||]) ~merge
-  | Sim_kernel.Levelized ->
-      let gb = good_gb tel (Kernel.create c) c ~si ~sw ~seq ~len in
-      let chunk k (gstart, gcount) =
-        let base0 = gstart * Word.width in
-        let span = min total ((gstart + gcount) * Word.width) - base0 in
-        let po = Array.make span max_int in
-        let sdiff = Array.init span (fun _ -> Bitvec.create len) in
-        Telemetry.add tel Telemetry.Faults_simulated span;
-        Telemetry.add tel Telemetry.Faulty_cycles (gcount * len);
-        Telemetry.add tel Telemetry.Budget_polls gcount;
-        for gi = gstart to gstart + gcount - 1 do
-          Budget.check budget;
-          let group = groups.(gi) in
-          let base = (gi * Word.width) - base0 in
-          Kernel.set_overrides k group.overrides;
-          Kernel.reset k;
-          let po_seen = ref 0 in
-          for t = 0 to len - 1 do
-            Kernel.cycle_bits k ~gb:gb.(t);
-            let fresh = Kernel.po_diff k land group.lanes land lnot !po_seen in
-            Word.iter_set (fun lane -> po.(base + lane) <- t) fresh;
-            po_seen := !po_seen lor fresh;
-            Kernel.finish_cycle_bits k ~gb:gb.(t);
-            let sd = Kernel.state_diff_word k land group.lanes in
-            Word.iter_set (fun lane -> Bitvec.set sdiff.(base + lane) t) sd
-          done
-        done;
-        Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k);
-        (po, sdiff)
-      in
-      sweep_groups ?pool
-        ~make_engine:(fun () -> Kernel.create c)
-        groups ~chunk ~empty:([||], [||]) ~merge);
+  let gb = good_gb tel (Kernel.create c) c ~si ~sw ~seq ~len in
+  let chunk k (gstart, gcount) =
+    let base0 = gstart * Word.width in
+    let span = min total ((gstart + gcount) * Word.width) - base0 in
+    let po = Array.make span max_int in
+    let sdiff = Array.init span (fun _ -> Bitvec.create len) in
+    Telemetry.add tel Telemetry.Faults_simulated span;
+    Telemetry.add tel Telemetry.Faulty_cycles (gcount * len);
+    Telemetry.add tel Telemetry.Budget_polls gcount;
+    for gi = gstart to gstart + gcount - 1 do
+      Budget.check budget;
+      let group = groups.(gi) in
+      let base = (gi * Word.width) - base0 in
+      Kernel.set_overrides k group.overrides;
+      Kernel.reset k;
+      let po_seen = ref 0 in
+      for t = 0 to len - 1 do
+        Kernel.cycle_bits k ~gb:gb.(t);
+        let fresh = Kernel.po_diff k land group.lanes land lnot !po_seen in
+        Word.iter_set (fun lane -> po.(base + lane) <- t) fresh;
+        po_seen := !po_seen lor fresh;
+        Kernel.finish_cycle_bits k ~gb:gb.(t);
+        let sd = Kernel.state_diff_word k land group.lanes in
+        Word.iter_set (fun lane -> Bitvec.set sdiff.(base + lane) t) sd
+      done
+    done;
+    Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k);
+    (po, sdiff)
+  in
+  sweep_groups ?pool c groups ~chunk ~empty:([||], [||]) ~merge;
   { subset; po_time; state_diff_at }
 
 (* Faults detected by the test truncated to end (and scan out) at time
@@ -492,16 +388,8 @@ let profile_detected_at p ~u =
    (one per candidate group) are cheap and stay on the submitting domain;
    the [subset] faults — the heavy dimension — are chunked across the
    pool, each chunk simulating its faults against every candidate group on
-   a private engine.  Chunks return raw detection words; the submitter
+   a private kernel.  Chunks return raw detection words; the submitter
    alone writes the result matrix. *)
-type cand_group = {
-  cbase : int; (* index of the first candidate of this group *)
-  cfull : int; (* mask of lanes carrying a real candidate *)
-  init_words : int array; (* packed candidate states, per DFF *)
-  good_po : int array array; (* fault-free PO words per time unit *)
-  good_final : int array; (* fault-free final state words *)
-}
-
 let candidate_detections ?pool ?(budget = Budget.unlimited) ?tel c ~sis ~seq ~faults ~subset =
   Telemetry.span tel "fsim:candidates"
     ~args:
@@ -512,7 +400,6 @@ let candidate_detections ?pool ?(budget = Budget.unlimited) ?tel c ~sis ~seq ~fa
   @@ fun () ->
   let n_candidates = Array.length sis in
   let n_ff = Circuit.n_dffs c in
-  let n_po = Circuit.n_outputs c in
   let len = Array.length seq in
   let sw = seq_words c seq in
   let result = Bitmat.create n_candidates (Array.length faults) in
@@ -532,130 +419,73 @@ let candidate_detections ?pool ?(budget = Budget.unlimited) ?tel c ~sis ~seq ~fa
     done;
     (cbase, cfull, init_words)
   in
+  let meta = Array.init n_cgroups pack_group in
+  (* Per-group fault-free word traces, computed (or recalled) on the
+     submitter and shared read-only with every chunk. *)
+  let k0 = Kernel.create c in
+  let traces =
+    Array.map
+      (fun (_, _, init_words) -> good_cand_gw tel k0 c ~init_words ~sw ~seq ~len)
+      meta
+  in
+  (* One fault at a time, injected in every candidate lane.  [cycles]
+     accumulates evaluated time units for the chunk's telemetry. *)
+  let detect_cand k ~cycles fi cgi =
+    let _, cfull, _ = meta.(cgi) in
+    let gwt = traces.(cgi) in
+    Kernel.set_overrides k [ Fault.to_override faults.(fi) ~lanes:Word.mask ];
+    Kernel.reset k;
+    let det = ref 0 in
+    let t = ref 0 in
+    while !det <> cfull && !t < len do
+      Kernel.cycle k ~prune:!det ~gw:gwt.(!t);
+      det := !det lor Kernel.po_diff k;
+      Kernel.finish_cycle k ~gw:gwt.(!t);
+      incr t
+    done;
+    cycles := !cycles + !t;
+    if !t = len && !det <> cfull then det := !det lor Kernel.state_diff_word k;
+    !det land cfull
+  in
   (* Chunk the [subset] faults — the heavy dimension — across the pool;
      each chunk returns raw per-(fault, cgroup) detection words and the
      submitter alone writes the result matrix, in index order. *)
-  let sweep_fault_chunks ~make_engine ~detect_cand ~flush cgroup_meta =
-    let nf = Array.length subset in
-    let ranges = Domain_pool.split ~n:nf ~pieces:(Domain_pool.chunk_count pool nf) in
-    let parts = Array.make (Array.length ranges) [||] in
-    Domain_pool.run_opt pool (Array.length ranges) (fun ci ->
-        let start, count = ranges.(ci) in
-        let engine = make_engine () in
-        let dets = Array.make_matrix count n_cgroups 0 in
-        let cycles = ref 0 and nhits = ref 0 in
-        for k = 0 to count - 1 do
-          Budget.check budget;
-          let fi = subset.(start + k) in
-          for cgi = 0 to n_cgroups - 1 do
-            let d = detect_cand engine ~cycles fi cgi in
-            nhits := !nhits + Word.popcount d;
-            dets.(k).(cgi) <- d
-          done
-        done;
-        Telemetry.add tel Telemetry.Faults_simulated count;
-        Telemetry.add tel Telemetry.Faulty_cycles !cycles;
-        Telemetry.add tel Telemetry.Fault_detections !nhits;
-        Telemetry.add tel Telemetry.Budget_polls count;
-        flush engine;
-        parts.(ci) <- dets);
-    Array.iteri
-      (fun ci dets ->
-        let start, _ = ranges.(ci) in
-        Array.iteri
-          (fun k per_cg ->
-            let fi = subset.(start + k) in
-            Array.iteri
-              (fun cgi det ->
-                let cbase, _, _ = cgroup_meta.(cgi) in
-                Word.iter_set (fun lane -> Bitmat.set result (cbase + lane) fi) det)
-              per_cg)
-          dets)
-      parts
-  in
-  (match Sim_kernel.current () with
-  | Sim_kernel.Reference ->
-      let engine0 = Engine2.create c [] in
-      let meta = Array.init n_cgroups pack_group in
-      let cgroups =
-        Array.map
-          (fun (cbase, cfull, init_words) ->
-            (* Fault-free machines for all candidates at once. *)
-            Engine2.set_overrides engine0 [];
-            Engine2.set_state_words engine0 init_words;
-            let good_po = Array.make len [||] in
-            for t = 0 to len - 1 do
-              Engine2.eval engine0 ~pi_words:sw.(t);
-              good_po.(t) <- Array.init n_po (Engine2.po_word engine0);
-              Engine2.capture engine0
-            done;
-            let good_final = Array.init n_ff (Engine2.state_word engine0) in
-            { cbase; cfull; init_words; good_po; good_final })
-          meta
-      in
-      Telemetry.add tel Telemetry.Good_cycles (n_cgroups * len);
-      (* One fault at a time, injected in every candidate lane.  [cycles]
-         accumulates evaluated time units for the chunk's telemetry. *)
-      let detect_cand engine ~cycles fi cgi =
-        let cg = cgroups.(cgi) in
-        Engine2.set_overrides engine [ Fault.to_override faults.(fi) ~lanes:Word.mask ];
-        Engine2.set_state_words engine cg.init_words;
-        let det = ref 0 in
-        let t = ref 0 in
-        while !det <> cg.cfull && !t < len do
-          Engine2.eval engine ~pi_words:sw.(!t);
-          let gpo = cg.good_po.(!t) in
-          for i = 0 to n_po - 1 do
-            det := !det lor (Engine2.po_word engine i lxor gpo.(i))
-          done;
-          Engine2.capture engine;
-          incr t
-        done;
-        cycles := !cycles + !t;
-        if !t = len && !det <> cg.cfull then
-          for i = 0 to n_ff - 1 do
-            det := !det lor (Engine2.state_word engine i lxor cg.good_final.(i))
-          done;
-        !det land cg.cfull
-      in
-      sweep_fault_chunks
-        ~make_engine:(fun () -> Engine2.create c [])
-        ~detect_cand
-        ~flush:(fun _ -> ())
-        meta
-  | Sim_kernel.Levelized ->
-      let k0 = Kernel.create c in
-      let meta = Array.init n_cgroups pack_group in
-      (* Per-group fault-free word traces, computed (or recalled) on the
-         submitter and shared read-only with every chunk. *)
-      let traces =
-        Array.map
-          (fun (_, _, init_words) -> good_cand_gw tel k0 c ~init_words ~sw ~seq ~len)
-          meta
-      in
-      let detect_cand k ~cycles fi cgi =
-        let _, cfull, _ = meta.(cgi) in
-        let gwt = traces.(cgi) in
-        Kernel.set_overrides k [ Fault.to_override faults.(fi) ~lanes:Word.mask ];
-        Kernel.reset k;
-        let det = ref 0 in
-        let t = ref 0 in
-        while !det <> cfull && !t < len do
-          Kernel.cycle k ~prune:!det ~gw:gwt.(!t);
-          det := !det lor Kernel.po_diff k;
-          Kernel.finish_cycle k ~gw:gwt.(!t);
-          incr t
-        done;
-        cycles := !cycles + !t;
-        if !t = len && !det <> cfull then det := !det lor Kernel.state_diff_word k;
-        !det land cfull
-      in
-      sweep_fault_chunks
-        ~make_engine:(fun () -> Kernel.create c)
-        ~detect_cand
-        ~flush:(fun k ->
-          Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k))
-        meta);
+  let nf = Array.length subset in
+  let ranges = Domain_pool.split ~n:nf ~pieces:(Domain_pool.chunk_count pool nf) in
+  let parts = Array.make (Array.length ranges) [||] in
+  Domain_pool.run_opt pool (Array.length ranges) (fun ci ->
+      let start, count = ranges.(ci) in
+      let k = Kernel.create c in
+      let dets = Array.make_matrix count n_cgroups 0 in
+      let cycles = ref 0 and nhits = ref 0 in
+      for j = 0 to count - 1 do
+        Budget.check budget;
+        let fi = subset.(start + j) in
+        for cgi = 0 to n_cgroups - 1 do
+          let d = detect_cand k ~cycles fi cgi in
+          nhits := !nhits + Word.popcount d;
+          dets.(j).(cgi) <- d
+        done
+      done;
+      Telemetry.add tel Telemetry.Faults_simulated count;
+      Telemetry.add tel Telemetry.Faulty_cycles !cycles;
+      Telemetry.add tel Telemetry.Fault_detections !nhits;
+      Telemetry.add tel Telemetry.Budget_polls count;
+      Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k);
+      parts.(ci) <- dets);
+  Array.iteri
+    (fun ci dets ->
+      let start, _ = ranges.(ci) in
+      Array.iteri
+        (fun j per_cg ->
+          let fi = subset.(start + j) in
+          Array.iteri
+            (fun cgi det ->
+              let cbase, _, _ = meta.(cgi) in
+              Word.iter_set (fun lane -> Bitmat.set result (cbase + lane) fi) det)
+            per_cg)
+        dets)
+    parts;
   result
 
 (* Verification: does (si, seq) detect *every* fault index in [subset]?
@@ -671,53 +501,25 @@ let verify_required ?pool ?(budget = Budget.unlimited) ?tel c ~si ~seq ~faults ~
         let len = Array.length seq in
         let groups = make_groups faults subset in
         let failed = Atomic.make false in
-        (match Sim_kernel.current () with
-        | Sim_kernel.Reference ->
-            let good = good_run c ~si ~seq in
-            Telemetry.add tel Telemetry.Good_cycles len;
-            let chunk engine (start, count) =
-              let gi = ref start in
-              let lanes = ref 0 and cycles = ref 0 and polls = ref 0 in
-              while (not (Atomic.get failed)) && !gi < start + count do
-                Budget.check budget;
-                incr polls;
-                let group = groups.(!gi) in
-                let d = detect_group engine ~si ~sw ~good ~len ~cycles group in
-                lanes := !lanes + Array.length group.members;
-                if d <> group.lanes then Atomic.set failed true;
-                incr gi
-              done;
-              Telemetry.add tel Telemetry.Faults_simulated !lanes;
-              Telemetry.add tel Telemetry.Faulty_cycles !cycles;
-              Telemetry.add tel Telemetry.Budget_polls !polls
-            in
-            sweep_groups ?pool
-              ~make_engine:(fun () -> Engine2.create c [])
-              groups ~chunk ~empty:()
-              ~merge:(fun _ () -> ())
-        | Sim_kernel.Levelized ->
-            let gb = good_gb tel (Kernel.create c) c ~si ~sw ~seq ~len in
-            let chunk k (start, count) =
-              let gi = ref start in
-              let lanes = ref 0 and cycles = ref 0 and polls = ref 0 in
-              while (not (Atomic.get failed)) && !gi < start + count do
-                Budget.check budget;
-                incr polls;
-                let group = groups.(!gi) in
-                let d = detect_group_lv k ~gb ~len ~cycles group in
-                lanes := !lanes + Array.length group.members;
-                if d <> group.lanes then Atomic.set failed true;
-                incr gi
-              done;
-              Telemetry.add tel Telemetry.Faults_simulated !lanes;
-              Telemetry.add tel Telemetry.Faulty_cycles !cycles;
-              Telemetry.add tel Telemetry.Budget_polls !polls;
-              Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k)
-            in
-            sweep_groups ?pool
-              ~make_engine:(fun () -> Kernel.create c)
-              groups ~chunk ~empty:()
-              ~merge:(fun _ () -> ()));
+        let gb = good_gb tel (Kernel.create c) c ~si ~sw ~seq ~len in
+        let chunk k (start, count) =
+          let gi = ref start in
+          let lanes = ref 0 and cycles = ref 0 and polls = ref 0 in
+          while (not (Atomic.get failed)) && !gi < start + count do
+            Budget.check budget;
+            incr polls;
+            let group = groups.(!gi) in
+            let d = detect_group k ~gb ~len ~cycles group in
+            lanes := !lanes + Array.length group.members;
+            if d <> group.lanes then Atomic.set failed true;
+            incr gi
+          done;
+          Telemetry.add tel Telemetry.Faults_simulated !lanes;
+          Telemetry.add tel Telemetry.Faulty_cycles !cycles;
+          Telemetry.add tel Telemetry.Budget_polls !polls;
+          Telemetry.add tel Telemetry.Cone_gates_evaluated (Kernel.take_evaluated k)
+        in
+        sweep_groups ?pool c groups ~chunk ~empty:() ~merge:(fun _ () -> ());
         not (Atomic.get failed))
 
 (* --- 3-valued, unknown initial state ("without scan") ------------------ *)

@@ -25,16 +25,17 @@
 type seq = bool array array
 (** A primary-input sequence: [L] vectors of [n_pis] values. *)
 
-(** Empty the shared good-machine trace cache (levelized kernel only):
-    the fault-free trace of a scan test depends only on
-    (circuit, scan-in, seq), so the levelized path computes it once and
+(** Empty the shared good-machine trace cache: the fault-free trace of a
+    scan test depends only on (circuit, scan-in, seq), so it is computed
+    once and
     recalls it across calls — detect, profile, verify of the same test —
     and across domains.  Benchmarks call this between repetitions to
     measure cold-cache behaviour; results never depend on cache state. *)
 val clear_trace_cache : unit -> unit
 
-(** Fault-free trace.  [po.(t)] are splat PO words at time [t];
-    [states.(t)] is the state entering time [t] ([states.(L)] is final). *)
+(** Fault-free trace, swept by {!Asc_sim.Kernel.good_cycle}.  [po.(t)]
+    are splat PO words at time [t]; [states.(t)] is the state entering
+    time [t] ([states.(L)] is final). *)
 type good = { po : int array array; states : int array array }
 
 val good_run : Asc_netlist.Circuit.t -> si:bool array -> seq:seq -> good

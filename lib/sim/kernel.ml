@@ -1,7 +1,8 @@
-(* Levelized event-driven fault-simulation kernel.
+(* Levelized event-driven 2-valued simulation kernel — the only 2-valued
+   simulator in the library.
 
-   The interpretive engines re-evaluate every gate every cycle.  This
-   kernel instead simulates a faulty machine as a *difference* against a
+   A naive simulator re-evaluates every gate every cycle.  This kernel
+   instead simulates a faulty machine as a *difference* against a
    precomputed fault-free trace: [dv.(g)] holds [faulty XOR good] for gate
    [g], zero almost everywhere.  Each cycle seeds the difference at the
    fault sites and at flip-flops whose state diverged, then propagates it
@@ -10,19 +11,19 @@
    it, and propagation dies out as soon as the faulty machine reconverges
    with the good one.  All values are [Asc_util.Word] bit-parallel words,
    so the cone walk serves 62 faulty machines (or candidate states) at
-   once.
+   once.  The fault-free trace itself comes from [good_cycle], a
+   closure-free sweep of the same schedule.
 
    The schedule is the circuit's flat levelized arrays
    ({!Asc_netlist.Circuit.level_order}): ints, no closures, shared
-   read-only across engines and domains.  Combinational fanouts always
+   read-only across kernels and domains.  Combinational fanouts always
    sit at strictly higher levels, so an ascending level walk evaluates
    each gate at most once per cycle, after all its fanins.
 
-   Equivalence contract: for any override set, the detection words
-   derived from [po_diff]/[state_diff] are bit-identical to comparing an
-   interpretive {!Engine2} faulty run against the fault-free run — the
-   kernel-equivalence test suite pins this against the
-   [--sim-kernel=reference] path. *)
+   Correctness contract: in every lane, the good values and the faulty
+   differences are bit-identical to the scalar simulator {!Naive} run on
+   that lane's patterns and overrides; test/test_kernel.ml pins this on
+   random and registry circuits at 1, 2 and 4 domains. *)
 
 open Asc_util
 module Circuit = Asc_netlist.Circuit
@@ -119,11 +120,10 @@ let create c =
 
 let circuit t = t.c
 
-(* Group [overrides] by attachment point.  Comb-gate and DFF-pin-0 lists
-   are built by consing a left-to-right scan — the same (reversed) order
-   [Override.table] hands to Engine2 — and source overrides keep input
-   order, matching Engine2's [List.filter]; application order is
-   therefore identical to the reference engine. *)
+(* Group [overrides] by attachment point: source outputs (Input/DFF,
+   pin -1), DFF pin 0 (the captured D), and combinational gates.
+   Callers give each fault its own lanes, and overrides on disjoint
+   lanes commute, so the grouping order never changes a result. *)
 let set_overrides t overrides =
   Array.iter
     (fun g ->
@@ -188,66 +188,73 @@ let[@inline] push_comb_fanouts t g =
     push t (Array.unsafe_get coflat i)
   done
 
-(* Faulty value of an overridden combinational gate (cold path): the body
-   over faulty fanin words with pin overrides, then output overrides —
-   mirroring Engine2.eval_overridden. *)
+(* [eval_body kind get n]: the word-parallel body function of a gate of
+   [kind] over [n] fanin words supplied by [get], masked to the lane
+   width.  The fault-free sweep and the cone walk inline their own
+   closure-free copies; this general form serves the override sites and
+   engines built on top (the transition-fault simulator). *)
+let eval_body kind get n =
+  match (kind : Gate.kind) with
+  | Gate.And ->
+      let acc = ref (get 0) in
+      for i = 1 to n - 1 do
+        acc := !acc land get i
+      done;
+      !acc
+  | Gate.Nand ->
+      let acc = ref (get 0) in
+      for i = 1 to n - 1 do
+        acc := !acc land get i
+      done;
+      lnot !acc land Word.mask
+  | Gate.Or ->
+      let acc = ref (get 0) in
+      for i = 1 to n - 1 do
+        acc := !acc lor get i
+      done;
+      !acc
+  | Gate.Nor ->
+      let acc = ref (get 0) in
+      for i = 1 to n - 1 do
+        acc := !acc lor get i
+      done;
+      lnot !acc land Word.mask
+  | Gate.Xor ->
+      let acc = ref (get 0) in
+      for i = 1 to n - 1 do
+        acc := !acc lxor get i
+      done;
+      !acc
+  | Gate.Xnor ->
+      let acc = ref (get 0) in
+      for i = 1 to n - 1 do
+        acc := !acc lxor get i
+      done;
+      lnot !acc land Word.mask
+  | Gate.Not -> lnot (get 0) land Word.mask
+  | Gate.Buf -> get 0
+  | Gate.Const0 -> 0
+  | Gate.Const1 -> Word.mask
+  | Gate.Input | Gate.Dff -> invalid_arg "Kernel.eval_body: source gate"
+
+(* Faulty value of an overridden combinational gate: the body over faulty
+   fanin words ([good XOR dv]) with pin overrides, then output overrides.
+   Every fault site is re-evaluated each cycle, so the word-trace and
+   byte-trace variants each read their good values directly. *)
+let rec pin_overridden overrides pin w =
+  match overrides with
+  | [] -> w
+  | (o : Override.t) :: rest ->
+      pin_overridden rest pin (if o.pin = pin then Override.apply o w else w)
+
 let eval_overridden t gw g =
   let lo = t.off.(g) in
   let overrides = t.ovr.(g) in
   let get i =
     let f = t.flat.(lo + i) in
-    let w = ref (gw.(f) lxor t.dv.(f)) in
-    List.iter (fun (o : Override.t) -> if o.pin = i then w := Override.apply o !w) overrides;
-    !w
+    pin_overridden overrides i (gw.(f) lxor t.dv.(f))
   in
-  let n = t.off.(g + 1) - lo in
-  let body =
-    match t.kinds.(g) with
-    | Gate.And ->
-        let acc = ref (get 0) in
-        for i = 1 to n - 1 do
-          acc := !acc land get i
-        done;
-        !acc
-    | Gate.Nand ->
-        let acc = ref (get 0) in
-        for i = 1 to n - 1 do
-          acc := !acc land get i
-        done;
-        lnot !acc land Word.mask
-    | Gate.Or ->
-        let acc = ref (get 0) in
-        for i = 1 to n - 1 do
-          acc := !acc lor get i
-        done;
-        !acc
-    | Gate.Nor ->
-        let acc = ref (get 0) in
-        for i = 1 to n - 1 do
-          acc := !acc lor get i
-        done;
-        lnot !acc land Word.mask
-    | Gate.Xor ->
-        let acc = ref (get 0) in
-        for i = 1 to n - 1 do
-          acc := !acc lxor get i
-        done;
-        !acc
-    | Gate.Xnor ->
-        let acc = ref (get 0) in
-        for i = 1 to n - 1 do
-          acc := !acc lxor get i
-        done;
-        lnot !acc land Word.mask
-    | Gate.Not -> lnot (get 0) land Word.mask
-    | Gate.Buf -> get 0
-    | Gate.Const0 -> 0
-    | Gate.Const1 -> Word.mask
-    | Gate.Input | Gate.Dff -> invalid_arg "Kernel: source gate in cone"
-  in
-  List.fold_left
-    (fun w (o : Override.t) -> if o.pin = -1 then Override.apply o w else w)
-    body overrides
+  pin_overridden overrides (-1) (eval_body t.kinds.(g) get (t.off.(g + 1) - lo))
 
 (* Faulty value of a plain combinational gate: the body over
    [good XOR dv] fanin words, with a 2-input fast path. *)
@@ -423,58 +430,9 @@ let eval_overridden_bits t gb g =
   let overrides = t.ovr.(g) in
   let get i =
     let f = t.flat.(lo + i) in
-    let w = ref (gword gb f lxor t.dv.(f)) in
-    List.iter (fun (o : Override.t) -> if o.pin = i then w := Override.apply o !w) overrides;
-    !w
+    pin_overridden overrides i (gword gb f lxor t.dv.(f))
   in
-  let n = t.off.(g + 1) - lo in
-  let body =
-    match t.kinds.(g) with
-    | Gate.And ->
-        let acc = ref (get 0) in
-        for i = 1 to n - 1 do
-          acc := !acc land get i
-        done;
-        !acc
-    | Gate.Nand ->
-        let acc = ref (get 0) in
-        for i = 1 to n - 1 do
-          acc := !acc land get i
-        done;
-        lnot !acc land Word.mask
-    | Gate.Or ->
-        let acc = ref (get 0) in
-        for i = 1 to n - 1 do
-          acc := !acc lor get i
-        done;
-        !acc
-    | Gate.Nor ->
-        let acc = ref (get 0) in
-        for i = 1 to n - 1 do
-          acc := !acc lor get i
-        done;
-        lnot !acc land Word.mask
-    | Gate.Xor ->
-        let acc = ref (get 0) in
-        for i = 1 to n - 1 do
-          acc := !acc lxor get i
-        done;
-        !acc
-    | Gate.Xnor ->
-        let acc = ref (get 0) in
-        for i = 1 to n - 1 do
-          acc := !acc lxor get i
-        done;
-        lnot !acc land Word.mask
-    | Gate.Not -> lnot (get 0) land Word.mask
-    | Gate.Buf -> get 0
-    | Gate.Const0 -> 0
-    | Gate.Const1 -> Word.mask
-    | Gate.Input | Gate.Dff -> invalid_arg "Kernel: source gate in cone"
-  in
-  List.fold_left
-    (fun w (o : Override.t) -> if o.pin = -1 then Override.apply o w else w)
-    body overrides
+  pin_overridden overrides (-1) (eval_body t.kinds.(g) get (t.off.(g + 1) - lo))
 
 let eval_plain_bits t gb g =
   let flat = t.flat and dv = t.dv in
@@ -680,8 +638,8 @@ let take_evaluated t =
 (* --- fault-free levelized sweep --------------------------------------- *)
 
 (* Evaluate the fault-free machine for one cycle into [v] (every gate,
-   sources included): the 62-wide good-machine kernel.  No overrides, no
-   per-gate override test — leaner than Engine2's sweep. *)
+   sources included): the 62-wide good-machine kernel.  No overrides and
+   no per-gate override test. *)
 let good_cycle t ~pi_words ~state ~v =
   let c = t.c in
   let inputs = Circuit.inputs c in

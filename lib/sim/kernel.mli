@@ -1,23 +1,25 @@
-(** Levelized event-driven fault-simulation kernel.
+(** Levelized event-driven 2-valued simulation kernel — the library's
+    only 2-valued simulator.
 
-    Simulates faulty machines as lane-masked *differences* against a
-    precomputed fault-free trace: per cycle, the difference is seeded at
-    the fault sites and diverged flip-flops and propagated level by level
-    through the fanout cone only, dying out where the faulty machine
-    reconverges with the good one.  All values are {!Asc_util.Word}
-    bit-parallel words (62 lanes).
+    Fault-free machines are swept level by level ({!good_cycle},
+    {!good_capture}).  Faulty machines are simulated as lane-masked
+    *differences* against a precomputed fault-free trace: per cycle, the
+    difference is seeded at the fault sites and diverged flip-flops and
+    propagated level by level through the fanout cone only, dying out
+    where the faulty machine reconverges with the good one.  All values
+    are {!Asc_util.Word} bit-parallel words (62 lanes); faults are
+    injected with lane-masked {!Override}s.
 
     The schedule comes from the circuit's flat levelized arrays
     ({!Asc_netlist.Circuit.level_order}) — ints, not closures — computed
     once per netlist and shared read-only across kernels and domains.
 
-    Detection results are bit-identical to comparing an interpretive
-    {!Engine2} faulty run against the fault-free run (the
-    [--sim-kernel=reference] path); the kernel-equivalence suite pins
-    this.
+    Contract: in every lane, good values and faulty differences are
+    bit-identical to the scalar simulator {!Naive} run on that lane's
+    values and overrides; test/test_kernel.ml pins this.
 
     A kernel instance is single-domain mutable state: create one per
-    pool chunk, like {!Engine2}. *)
+    pool chunk. *)
 
 type t
 
@@ -25,9 +27,9 @@ val create : Asc_netlist.Circuit.t -> t
 
 val circuit : t -> Asc_netlist.Circuit.t
 
-(** Swap the injected fault set (no state-array reallocation).  Override
-    application order matches {!Engine2}, so grouped fault lanes behave
-    identically. *)
+(** Swap the injected fault set (no state-array reallocation).  Each
+    fault should own its lanes (as {!Asc_fault} grouping does); overrides
+    on disjoint lanes are independent. *)
 val set_overrides : t -> Override.t list -> unit
 
 (** Zero all difference state: the faulty machine restarts equal to the
@@ -88,3 +90,9 @@ val good_cycle : t -> pi_words:int array -> state:int array -> v:int array -> un
 (** [good_capture t ~v ~state] clocks the fault-free machine:
     [state.(i) <- v.(dff_input i)]. *)
 val good_capture : t -> v:int array -> state:int array -> unit
+
+(** [eval_body kind get n] — the word-parallel function of a gate of
+    [kind] over [n] fanin words supplied by [get], masked to the lane
+    width; exposed for engines built on top (the transition-fault
+    simulator).  Raises [Invalid_argument] on a source gate. *)
+val eval_body : Asc_netlist.Gate.kind -> (int -> int) -> int -> int

@@ -1,9 +1,10 @@
 (* Scalar reference simulator.
 
    Direct, obviously-correct evaluation over [bool] (2-valued) and
-   [bool option] (3-valued, [None] = X) values.  The test suite checks the
-   bit-parallel engines and the fault simulators against this module; it is
-   also convenient for debugging small circuits. *)
+   [bool option] (3-valued, [None] = X) values, with fault injection
+   through {!Override}s.  The test suite checks the bit-parallel kernels
+   and the fault simulators against this module — it is the one oracle;
+   it is also convenient for debugging small circuits. *)
 
 module Circuit = Asc_netlist.Circuit
 module Gate = Asc_netlist.Gate
@@ -49,33 +50,53 @@ let rec eval_gate3 kind (ins : bool option list) =
   | (Gate.Not | Gate.Buf | Gate.Const0 | Gate.Const1 | Gate.Input | Gate.Dff), _ ->
       invalid_arg "Naive.eval_gate3: bad gate/arity"
 
-(* Full combinational evaluation; returns the value of every gate. *)
-let eval_comb c ~pis ~state =
+(* Full combinational evaluation; returns the value of every gate.
+
+   [overrides] inject faults with the {!Override} semantics: an output
+   override ([pin = -1]) forces the gate's value (a source's value as
+   its fanouts see it), a pin override forces one fanin as seen by that
+   gate only.  The scalar machine is one lane, so every override applies
+   whatever its [lanes] mask; callers inject one fault per run. *)
+let eval_comb ?(overrides = []) c ~pis ~state =
   let n = Circuit.n_gates c in
+  let tbl = Override.table n overrides in
+  let forced g pin value =
+    List.fold_left
+      (fun b (o : Override.t) -> if o.pin = pin then o.stuck else b)
+      value (Override.at tbl g)
+  in
   let v = Array.make n false in
-  Array.iteri (fun i g -> v.(g) <- pis.(i)) (Circuit.inputs c);
-  Array.iteri (fun i g -> v.(g) <- state.(i)) (Circuit.dffs c);
+  Array.iteri (fun i g -> v.(g) <- forced g (-1) pis.(i)) (Circuit.inputs c);
+  Array.iteri (fun i g -> v.(g) <- forced g (-1) state.(i)) (Circuit.dffs c);
   Array.iter
     (fun g ->
-      let ins = Array.to_list (Array.map (fun f -> v.(f)) (Circuit.fanins c g)) in
-      v.(g) <- eval_gate2 (Circuit.kind c g) ins)
+      let ins =
+        Array.to_list (Array.mapi (fun k f -> forced g k v.(f)) (Circuit.fanins c g))
+      in
+      v.(g) <- forced g (-1) (eval_gate2 (Circuit.kind c g) ins))
     (Circuit.order c);
   v
 
 let outputs_of c v = Array.map (fun g -> v.(g)) (Circuit.outputs c)
 
-let next_state_of c v =
-  Array.map (fun d -> v.(Circuit.dff_input c d)) (Circuit.dffs c)
+(* The captured state: each flip-flop's D value, or its pin-0 override. *)
+let next_state_of ?(overrides = []) c v =
+  Array.map
+    (fun d ->
+      List.fold_left
+        (fun b (o : Override.t) -> if o.gate = d && o.pin = 0 then o.stuck else b)
+        v.(Circuit.dff_input c d) overrides)
+    (Circuit.dffs c)
 
 (* Run a PI sequence from a binary initial state; returns the per-cycle PO
    vectors and the final state. *)
-let run c ~init ~seq =
+let run ?overrides c ~init ~seq =
   let state = ref init in
   let responses =
     Array.map
       (fun pis ->
-        let v = eval_comb c ~pis ~state:!state in
-        state := next_state_of c v;
+        let v = eval_comb ?overrides c ~pis ~state:!state in
+        state := next_state_of ?overrides c v;
         outputs_of c v)
       seq
   in

@@ -292,39 +292,44 @@ type span_record = {
   s_shadowed : bool; (* an enclosing span on this track has the same name *)
 }
 
-(* Pair begin/end events per track with a stack walk.  Unbalanced events
-   (an End with an empty stack, or Begins left open at drain time) are
-   dropped rather than guessed at. *)
+(* Pair begin/end events per track with a stack walk.  Each span is keyed
+   by the ordinal of its Begin, so the track's spans come out in begin
+   order (parents before their children) although they close in end
+   order.  Unbalanced events (an End with an empty stack, or Begins left
+   open at drain time) are dropped rather than guessed at. *)
 let spans snapshot =
   List.concat_map
     (fun tr ->
       let stack = ref [] in
       let out = ref [] in
+      let begun = ref 0 in
       List.iter
         (function
           | Begin { name; ts; args } ->
               let shadowed =
-                List.exists (fun (n, _, _, _) -> n = name) !stack
+                List.exists (fun (_, n, _, _, _) -> n = name) !stack
               in
-              stack := (name, ts, args, shadowed) :: !stack
+              stack := (!begun, name, ts, args, shadowed) :: !stack;
+              Stdlib.incr begun
           | End { name = _; ts } -> (
               match !stack with
               | [] -> ()
-              | (name, t0, args, shadowed) :: rest ->
+              | (ordinal, name, t0, args, shadowed) :: rest ->
                   stack := rest;
                   out :=
-                    {
-                      s_name = name;
-                      s_dom = tr.dom;
-                      s_begin = t0;
-                      s_end = ts;
-                      s_depth = List.length rest;
-                      s_args = args;
-                      s_shadowed = shadowed;
-                    }
+                    ( ordinal,
+                      {
+                        s_name = name;
+                        s_dom = tr.dom;
+                        s_begin = t0;
+                        s_end = ts;
+                        s_depth = List.length rest;
+                        s_args = args;
+                        s_shadowed = shadowed;
+                      } )
                     :: !out))
         tr.events;
-      List.rev !out)
+      List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) !out))
     snapshot.tracks
 
 (* Every track's begin/end events bracket properly and close by the end of

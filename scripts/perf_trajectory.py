@@ -31,6 +31,7 @@ import argparse
 import datetime
 import json
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,10 +52,20 @@ def load_bench(path: Path) -> dict:
     kernel = data.get("kernel")
     if not isinstance(kernel, dict):
         fail(f"{path} has no kernel section — run bench with --quick --json")
-    for key in ("seconds_levelized_1", "seconds_reference", "circuit"):
+    for key in ("seconds_levelized_1", "circuit"):
         if key not in kernel:
             fail(f"{path}: kernel section missing {key!r}")
     return data
+
+
+def head_commit() -> str | None:
+    """The checked-out commit, or None outside a git work tree."""
+    try:
+        out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
+                             text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip() or None
 
 
 def prior_snapshots(out_dir: Path, today: str) -> list[Path]:
@@ -83,7 +94,8 @@ def main() -> None:
                     help="snapshot date, YYYY-MM-DD (default: today, UTC)")
     ap.add_argument("--budget", type=float, default=0.25,
                     help="allowed fractional slowdown before failing (default 0.25)")
-    ap.add_argument("--commit", default=None, help="git SHA to record in the snapshot")
+    ap.add_argument("--commit", default=None,
+                    help="git SHA to record in the snapshot (default: git rev-parse HEAD)")
     args = ap.parse_args()
 
     date = args.date or datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%d")
@@ -99,21 +111,19 @@ def main() -> None:
     snapshot = {
         "schema": SNAPSHOT_SCHEMA,
         "date": date,
-        "commit": args.commit,
+        "commit": args.commit or head_commit(),
         "source": "bench --quick --json",
         "bench_schema": bench.get("schema"),
         "domains": bench.get("domains"),
         "kernel": kernel,
         "fsim": bench.get("fsim"),
         "atpg": bench.get("atpg"),
-        "timings": bench.get("timings"),
+        "circuits": bench.get("circuits"),
     }
     out_path = args.out_dir / f"BENCH_{date}.json"
     out_path.write_text(json.dumps(snapshot, indent=2) + "\n")
-    speedup = kernel.get("speedup_domains_1")
-    detail = f", {speedup:.2f}x vs reference" if speedup is not None else ""
     print(f"perf-trajectory: wrote {out_path} "
-          f"(levelized 1-domain {new_secs:.3f}s on {kernel['circuit']}{detail})")
+          f"(levelized 1-domain {new_secs:.3f}s on {kernel['circuit']})")
 
     priors = prior_snapshots(args.out_dir, date)
     if not priors:

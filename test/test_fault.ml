@@ -14,47 +14,12 @@ let small_circuit seed =
   Asc_circuits.Profile.make "fs" 4 3 5 45 ~t0_budget:10
   |> Asc_circuits.Generator.generate ~seed
 
-(* Naive faulty evaluation: recompute the whole circuit with the fault
-   spliced into the evaluation, 2-valued. *)
-let naive_faulty_eval c (f : Fault.t) ~pis ~state =
-  let n = Circuit.n_gates c in
-  let v = Array.make n false in
-  let forced g value = if f.pin = -1 && f.gate = g then f.stuck else value in
-  Array.iteri (fun i g -> v.(g) <- forced g pis.(i)) (Circuit.inputs c);
-  Array.iteri (fun i g -> v.(g) <- forced g state.(i)) (Circuit.dffs c);
-  Array.iter
-    (fun g ->
-      let ins =
-        Array.to_list
-          (Array.mapi
-             (fun k fin -> if f.gate = g && f.pin = k then f.stuck else v.(fin))
-             (Circuit.fanins c g))
-      in
-      v.(g) <- forced g (Naive.eval_gate2 (Circuit.kind c g) ins))
-    (Circuit.order c);
-  v
-
-let naive_faulty_next_state c (f : Fault.t) v =
-  Array.map
-    (fun d ->
-      let din = Circuit.dff_input c d in
-      if f.gate = d && f.pin = 0 then f.stuck else v.(din))
-    (Circuit.dffs c)
-
-(* Naive scan-test detection of one fault. *)
+(* Naive scan-test detection of one fault: a PO difference at any time
+   unit, or a difference in the scanned-out final state. *)
 let naive_detects c (f : Fault.t) ~si ~seq =
-  let good_state = ref (Array.copy si) in
-  let bad_state = ref (Array.copy si) in
-  let detected = ref false in
-  Array.iter
-    (fun pis ->
-      let gv = Naive.eval_comb c ~pis ~state:!good_state in
-      let bv = naive_faulty_eval c f ~pis ~state:!bad_state in
-      if Naive.outputs_of c gv <> Naive.outputs_of c bv then detected := true;
-      good_state := Naive.next_state_of c gv;
-      bad_state := naive_faulty_next_state c f bv)
-    seq;
-  !detected || !good_state <> !bad_state
+  let overrides = [ Fault.to_override f ~lanes:Word.mask ] in
+  let good = Naive.run c ~init:si ~seq and bad = Naive.run ~overrides c ~init:si ~seq in
+  good <> bad
 
 (* --- Universe and collapsing ----------------------------------------- *)
 
@@ -224,17 +189,10 @@ let prop_no_scan_sound =
         Bitvec.iter_set
           (fun fi ->
             let f = faults.(fi) in
-            let good_state = ref (Array.copy si) and bad_state = ref (Array.copy si) in
-            let po_diff = ref false in
-            Array.iter
-              (fun pis ->
-                let gv = Naive.eval_comb c ~pis ~state:!good_state in
-                let bv = naive_faulty_eval c f ~pis ~state:!bad_state in
-                if Naive.outputs_of c gv <> Naive.outputs_of c bv then po_diff := true;
-                good_state := Naive.next_state_of c gv;
-                bad_state := naive_faulty_next_state c f bv)
-              seq;
-            if not !po_diff then ok := false)
+            let overrides = [ Fault.to_override f ~lanes:Word.mask ] in
+            let good, _ = Naive.run c ~init:si ~seq in
+            let bad, _ = Naive.run ~overrides c ~init:si ~seq in
+            if good = bad then ok := false)
           det
       done;
       !ok)

@@ -1,5 +1,6 @@
-(* Tests for Asc_sim: gate truth tables, bit-parallel engines vs the naive
-   reference, 3-valued monotonicity, override injection. *)
+(* Tests for Asc_sim: gate truth tables, the bit-parallel kernel and
+   Engine3 vs the naive reference, 3-valued monotonicity, override
+   injection. *)
 
 open Asc_sim
 module Circuit = Asc_netlist.Circuit
@@ -67,14 +68,22 @@ let prop_gate3_monotone =
             (fun ins' -> Naive.eval_gate3 kind ins' = out)
             (refine [] ins))
 
-(* --- Parallel engines vs naive reference ----------------------------- *)
+(* --- Parallel kernels vs naive reference ------------------------------ *)
 
 let random_profile seed =
   Asc_circuits.Profile.make "sim-rt" 5 4 6 50 ~t0_budget:10
   |> Asc_circuits.Generator.generate ~seed
 
-let prop_engine2_matches_naive =
-  QCheck.Test.make ~name:"Engine2 lanes match naive scalar runs" ~count:40
+(* One fault-free cycle of the levelized kernel: every gate's word. *)
+let good_values k c ~pi_words ~state =
+  let v = Array.make (Circuit.n_gates c) 0 in
+  Kernel.good_cycle k ~pi_words ~state ~v;
+  v
+
+let po_words c v = Array.map (Array.get v) (Circuit.outputs c)
+
+let prop_kernel_matches_naive =
+  QCheck.Test.make ~name:"Kernel lanes match naive scalar runs" ~count:40
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let c = random_profile seed in
@@ -88,8 +97,8 @@ let prop_engine2_matches_naive =
         Array.init lanes (fun _ ->
             Array.init len (fun _ -> Asc_util.Rng.bool_array rng n_pis))
       in
-      let engine = Engine2.create c [] in
-      let state_words =
+      let k = Kernel.create c in
+      let state =
         Array.init n_ffs (fun i ->
             let w = ref 0 in
             for l = 0 to lanes - 1 do
@@ -97,7 +106,6 @@ let prop_engine2_matches_naive =
             done;
             !w)
       in
-      Engine2.set_state_words engine state_words;
       let ok = ref true in
       let naive_runs =
         Array.init lanes (fun l -> Naive.run c ~init:inits.(l) ~seq:seqs.(l))
@@ -111,28 +119,27 @@ let prop_engine2_matches_naive =
               done;
               !w)
         in
-        Engine2.eval engine ~pi_words;
+        let v = good_values k c ~pi_words ~state in
+        let pos = po_words c v in
         for l = 0 to lanes - 1 do
           let expected = (fst naive_runs.(l)).(t) in
           for po = 0 to Circuit.n_outputs c - 1 do
-            if Asc_util.Word.get (Engine2.po_word engine po) l <> expected.(po) then
-              ok := false
+            if Asc_util.Word.get pos.(po) l <> expected.(po) then ok := false
           done
         done;
-        Engine2.capture engine
+        Kernel.good_capture k ~v ~state
       done;
       (* Final states match too. *)
       for l = 0 to lanes - 1 do
         let expected = snd naive_runs.(l) in
         for i = 0 to n_ffs - 1 do
-          if Asc_util.Word.get (Engine2.state_word engine i) l <> expected.(i) then
-            ok := false
+          if Asc_util.Word.get state.(i) l <> expected.(i) then ok := false
         done
       done;
       !ok)
 
-let prop_engine3_binary_matches_engine2 =
-  QCheck.Test.make ~name:"Engine3 on binary inputs agrees with Engine2" ~count:30
+let prop_engine3_binary_matches_kernel =
+  QCheck.Test.make ~name:"Engine3 on binary inputs agrees with Kernel" ~count:30
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let c = random_profile seed in
@@ -141,21 +148,21 @@ let prop_engine3_binary_matches_engine2 =
       let init = Asc_util.Rng.bool_array rng n_ffs in
       let len = 5 in
       let seq = Array.init len (fun _ -> Asc_util.Rng.bool_array rng n_pis) in
-      let e2 = Engine2.create c [] and e3 = Engine3.create c [] in
-      Engine2.set_state_bools e2 init;
+      let k = Kernel.create c and e3 = Engine3.create c [] in
+      let state = Array.map Asc_util.Word.splat init in
       Engine3.set_state_bools e3 init;
       let ok = ref true in
       Array.iter
         (fun vec ->
           let pi_words = Array.map Asc_util.Word.splat vec in
-          Engine2.eval e2 ~pi_words;
+          let v = good_values k c ~pi_words ~state in
           Engine3.eval_binary e3 ~pi_words;
-          for po = 0 to Circuit.n_outputs c - 1 do
-            let w2 = Engine2.po_word e2 po in
-            let z, o = Engine3.po_word e3 po in
-            if o <> w2 || z <> lnot w2 land Asc_util.Word.mask then ok := false
-          done;
-          Engine2.capture e2;
+          Array.iteri
+            (fun po w2 ->
+              let z, o = Engine3.po_word e3 po in
+              if o <> w2 || z <> lnot w2 land Asc_util.Word.mask then ok := false)
+            (po_words c v);
+          Kernel.good_capture k ~v ~state;
           Engine3.capture e3)
         seq;
       !ok)
@@ -190,6 +197,10 @@ let prop_engine3_x_state_refines =
 
 (* --- Overrides ------------------------------------------------------- *)
 
+(* Overrides are checked on both simulators: the kernel reports the
+   faulty machine as a difference against the good trace ([po_diff],
+   [state_diff]), the naive one as plain faulty values. *)
+
 let test_override_output_injection () =
   (* Force a PI stuck in half the lanes and observe a NOT of it. *)
   let b = Asc_netlist.Builder.create "ovr" in
@@ -198,29 +209,49 @@ let test_override_output_injection () =
   Asc_netlist.Builder.add_output b g;
   let c = Asc_netlist.Builder.finalize b in
   let lanes = 0b1010 in
-  let e = Engine2.create c [ Override.output ~gate:a ~stuck:true ~lanes ] in
-  Engine2.eval e ~pi_words:[| 0 |];
+  let o = Override.output ~gate:a ~stuck:true ~lanes in
+  let k = Kernel.create c in
+  let gw = good_values k c ~pi_words:[| 0 |] ~state:[||] in
+  Kernel.set_overrides k [ o ];
+  Kernel.reset k;
+  Kernel.cycle k ~gw;
   (* a = 0 except overridden lanes -> NOT a = all ones except lanes. *)
   Alcotest.(check int) "not of injected" (Asc_util.Word.mask land lnot lanes)
-    (Engine2.po_word e 0)
+    ((po_words c gw).(0) lxor Kernel.po_diff k);
+  let v = Naive.eval_comb ~overrides:[ o ] c ~pis:[| false |] ~state:[||] in
+  Alcotest.(check bool) "naive not of injected" false (Naive.outputs_of c v).(0)
 
 let test_override_input_pin_is_branch () =
-  (* A branch fault affects only the faulted consumer. *)
+  (* A branch fault affects only the faulted consumer: [a] fans out to a
+     PO through g1 and to a flip-flop through g2. *)
   let b = Asc_netlist.Builder.create "branch" in
   let a = Asc_netlist.Builder.add_input b "a" in
   let g1 = Asc_netlist.Builder.add_gate b Gate.Buf "g1" [ a ] in
   let g2 = Asc_netlist.Builder.add_gate b Gate.Buf "g2" [ a ] in
+  let q = Asc_netlist.Builder.add_dff b "q" in
+  Asc_netlist.Builder.set_dff_input b q g2;
   Asc_netlist.Builder.add_output b g1;
-  Asc_netlist.Builder.add_output b g2;
   let c = Asc_netlist.Builder.finalize b in
-  (* Stuck-1 on g1's input pin only. *)
-  let e =
-    Engine2.create c
-      [ Override.input ~gate:g1 ~pin:0 ~stuck:true ~lanes:Asc_util.Word.mask ]
+  let k = Kernel.create c in
+  let gw = good_values k c ~pi_words:[| 0 |] ~state:[| 0 |] in
+  let check name g ~po ~ff =
+    (* Stuck-1 on [g]'s input pin only. *)
+    let o = Override.input ~gate:g ~pin:0 ~stuck:true ~lanes:Asc_util.Word.mask in
+    Kernel.set_overrides k [ o ];
+    Kernel.reset k;
+    Kernel.cycle k ~gw;
+    Alcotest.(check int) (name ^ ": PO branch") (Asc_util.Word.splat po)
+      (Kernel.po_diff k);
+    Kernel.finish_cycle k ~gw;
+    Alcotest.(check int) (name ^ ": DFF branch") (Asc_util.Word.splat ff)
+      (Kernel.state_diff k 0);
+    let v = Naive.eval_comb ~overrides:[ o ] c ~pis:[| false |] ~state:[| false |] in
+    Alcotest.(check bool) (name ^ ": naive PO") po (Naive.outputs_of c v).(0);
+    Alcotest.(check bool) (name ^ ": naive DFF") ff
+      (Naive.next_state_of ~overrides:[ o ] c v).(0)
   in
-  Engine2.eval e ~pi_words:[| 0 |];
-  Alcotest.(check int) "faulted branch" Asc_util.Word.mask (Engine2.po_word e 0);
-  Alcotest.(check int) "clean branch" 0 (Engine2.po_word e 1)
+  check "g1 pin" g1 ~po:true ~ff:false;
+  check "g2 pin" g2 ~po:false ~ff:true
 
 let test_override_dff_pin () =
   (* A DFF D-pin fault corrupts the captured value only. *)
@@ -231,18 +262,28 @@ let test_override_dff_pin () =
   let g = Asc_netlist.Builder.add_gate b Gate.Buf "g" [ q ] in
   Asc_netlist.Builder.add_output b g;
   let c = Asc_netlist.Builder.finalize b in
-  let e =
-    Engine2.create c
-      [ Override.input ~gate:q ~pin:0 ~stuck:false ~lanes:Asc_util.Word.mask ]
-  in
-  Engine2.set_state_bools e [| true |];
-  Engine2.eval e ~pi_words:[| Asc_util.Word.mask |];
+  let o = Override.input ~gate:q ~pin:0 ~stuck:false ~lanes:Asc_util.Word.mask in
+  let k = Kernel.create c in
+  let state = [| Asc_util.Word.mask |] in
+  let pi_words = [| Asc_util.Word.mask |] in
+  Kernel.set_overrides k [ o ];
+  Kernel.reset k;
+  let gw0 = good_values k c ~pi_words ~state in
+  Kernel.cycle k ~gw:gw0;
   (* Current state unaffected. *)
-  Alcotest.(check int) "q unaffected now" Asc_util.Word.mask (Engine2.po_word e 0);
-  Engine2.capture e;
-  Engine2.eval e ~pi_words:[| Asc_util.Word.mask |];
+  Alcotest.(check int) "q unaffected now" 0 (Kernel.po_diff k);
+  Kernel.finish_cycle k ~gw:gw0;
+  Kernel.good_capture k ~v:gw0 ~state;
+  let gw1 = good_values k c ~pi_words ~state in
+  Kernel.cycle k ~gw:gw1;
   (* Captured value was forced to 0. *)
-  Alcotest.(check int) "capture forced 0" 0 (Engine2.po_word e 0)
+  Alcotest.(check int) "capture forced 0" 0 ((po_words c gw1).(0) lxor Kernel.po_diff k);
+  let responses, final =
+    Naive.run ~overrides:[ o ] c ~init:[| true |] ~seq:[| [| true |]; [| true |] |]
+  in
+  Alcotest.(check (array (array bool))) "naive responses" [| [| true |]; [| false |] |]
+    responses;
+  Alcotest.(check (array bool)) "naive final state" [| false |] final
 
 let suite =
   [
@@ -251,8 +292,8 @@ let suite =
         Alcotest.test_case "2-valued truth tables" `Quick test_gate2_truth_tables;
         Alcotest.test_case "3-valued pessimism" `Quick test_gate3_pessimism;
         qtest prop_gate3_monotone;
-        qtest prop_engine2_matches_naive;
-        qtest prop_engine3_binary_matches_engine2;
+        qtest prop_kernel_matches_naive;
+        qtest prop_engine3_binary_matches_kernel;
         qtest prop_engine3_x_state_refines;
         Alcotest.test_case "override output" `Quick test_override_output_injection;
         Alcotest.test_case "override branch pin" `Quick test_override_input_pin_is_branch;

@@ -68,7 +68,11 @@ let test_spans_balanced () =
   Alcotest.(check int) "outer depth" 0 outer.s_depth;
   Alcotest.(check bool) "args kept" true (List.mem ("k", "v") inner.s_args);
   Alcotest.(check bool) "nesting" true
-    (outer.s_begin <= inner.s_begin && inner.s_end <= outer.s_end)
+    (outer.s_begin <= inner.s_begin && inner.s_end <= outer.s_end);
+  (* Begin order: the parent is listed before the child it encloses,
+     although the child ends first. *)
+  Alcotest.(check (list string)) "begin order" [ "outer"; "inner"; "raises" ]
+    (List.map (fun (r : Tel.span_record) -> r.s_name) spans)
 
 let test_span_totals_shadowing () =
   (* Recursive same-named spans must not double-count wall time. *)
@@ -267,7 +271,7 @@ let test_pipeline_unaffected () =
         { Asc_core.Pipeline.default_config with
           t0_source = Asc_core.Pipeline.Directed 200 }
       in
-      (* Reference: no telemetry, no pool. *)
+      (* Baseline: no telemetry, no pool. *)
       let prepared_ref = Asc_core.Pipeline.prepare ~config c in
       let reference = Asc_core.Pipeline.run ~config prepared_ref in
       List.iter

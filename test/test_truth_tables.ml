@@ -1,6 +1,6 @@
 (* Exhaustive truth-table checks: every gate kind, every input combination
    (arities 2 and 3 for the n-ary kinds), in the scalar reference, the
-   2-valued engine, the 3-valued engine, and PODEM's internal evaluator's
+   2-valued kernel, the 3-valued engine, and PODEM's internal evaluator's
    observable behaviour (via engine agreement). *)
 
 open Asc_util
@@ -32,7 +32,9 @@ let circuit_for kind arity =
 
 let exhaustive_case kind arity () =
   let c = circuit_for kind arity in
-  let e2 = Asc_sim.Engine2.create c [] in
+  let k = Asc_sim.Kernel.create c in
+  let gv = Array.make (Asc_netlist.Circuit.n_gates c) 0 in
+  let po = (Asc_netlist.Circuit.outputs c).(0) in
   let e3 = Asc_sim.Engine3.create c [] in
   for combo = 0 to (1 lsl arity) - 1 do
     let ins = List.init arity (fun i -> (combo lsr i) land 1 = 1) in
@@ -43,12 +45,12 @@ let exhaustive_case kind arity () =
       (Printf.sprintf "%s/%d naive %d" (Gate.to_string kind) arity combo)
       expected
       (Asc_sim.Naive.outputs_of c v).(0);
-    (* 2-valued engine. *)
-    Asc_sim.Engine2.eval e2 ~pi_words:(Array.of_list (List.map Word.splat ins));
+    (* 2-valued kernel. *)
+    Asc_sim.Kernel.good_cycle k ~pi_words:(Array.of_list (List.map Word.splat ins))
+      ~state:[||] ~v:gv;
     Alcotest.(check int)
-      (Printf.sprintf "%s/%d engine2 %d" (Gate.to_string kind) arity combo)
-      (Word.splat expected)
-      (Asc_sim.Engine2.po_word e2 0);
+      (Printf.sprintf "%s/%d kernel %d" (Gate.to_string kind) arity combo)
+      (Word.splat expected) gv.(po);
     (* 3-valued engine with binary inputs. *)
     Asc_sim.Engine3.eval_binary e3 ~pi_words:(Array.of_list (List.map Word.splat ins));
     let z, o = Asc_sim.Engine3.po_word e3 0 in
