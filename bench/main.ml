@@ -459,6 +459,7 @@ let json_summary o ~domains ~timings ~fsim ~atpg ~kernel =
         ("mode", J.Str (if o.quick then "quick" else "full"));
         ("seed", J.Int o.seed);
         ("domains", J.Int domains);
+        ("host_cores", J.Int (Domain.recommended_domain_count ()));
         ( "circuits",
           J.List
             (List.map
@@ -634,6 +635,14 @@ let () =
       | Some n -> n
       | None -> Asc_util.Domain_pool.default_domains ()
     in
+    (* More domains than cores measures oversubscription, not the pool. *)
+    (match o.domains with
+    | Some n when n > Domain.recommended_domain_count () ->
+        Printf.eprintf
+          "bench: warning: --domains %d exceeds the host's %d cores; \
+           parallel timings reflect oversubscription\n%!"
+          n (Domain.recommended_domain_count ())
+    | _ -> ());
     let tel = Option.map (fun _ -> Asc_util.Telemetry.create ()) o.trace in
     let pool =
       if domains > 1 then Some (Asc_util.Domain_pool.create ?tel ~domains ())

@@ -629,10 +629,10 @@ let parse_host_port s =
 
 let resolve_listen socket tcp =
   match (socket, tcp) with
-  | Some path, None -> Asc_core.Server.Unix_socket path
+  | Some path, None -> Asc_core.Wire.Unix_socket path
   | None, Some hp ->
       let host, port = parse_host_port hp in
-      Asc_core.Server.Tcp (host, port)
+      Asc_core.Wire.Tcp (host, port)
   | Some _, Some _ -> die exit_usage "--socket and --tcp are mutually exclusive"
   | None, None -> die exit_usage "need --socket PATH or --tcp HOST:PORT"
 
@@ -743,16 +743,10 @@ let serve_cmd =
       Option.map (fun path -> Asc_util.Log.create ~level ?tel ?chaos path)
         log_file
     in
-    let config =
-      { Asc_core.Server.listen; state_dir;
-        max_frame = Asc_core.Server.default_max_frame }
+    let config = { Asc_core.Server.listen; state_dir } in
+    let on_ready () =
+      Printf.printf "asc: serving on %s\n%!" (Asc_core.Wire.to_string listen)
     in
-    let where =
-      match listen with
-      | Asc_core.Server.Unix_socket p -> p
-      | Asc_core.Server.Tcp (h, p) -> Printf.sprintf "%s:%d" h p
-    in
-    let on_ready () = Printf.printf "asc: serving on %s\n%!" where in
     Fun.protect
       ~finally:(fun () -> Asc_util.Log.close log)
       (fun () ->
@@ -797,8 +791,8 @@ let parse_backend s =
   in
   if is_host_port then
     let host, port = parse_host_port s in
-    (s, Asc_core.Server.Tcp (host, port))
-  else (s, Asc_core.Server.Unix_socket s)
+    (s, Asc_core.Wire.Tcp (host, port))
+  else (s, Asc_core.Wire.Unix_socket s)
 
 let route_cmd =
   let backend_arg =
@@ -836,17 +830,12 @@ let route_cmd =
       {
         Asc_core.Router.listen;
         backends = List.map parse_backend backends;
-        max_frame = Asc_core.Server.default_max_frame;
         request_retries;
       }
     in
-    let where =
-      match listen with
-      | Asc_core.Server.Unix_socket p -> p
-      | Asc_core.Server.Tcp (h, p) -> Printf.sprintf "%s:%d" h p
-    in
     let on_ready () =
-      Printf.printf "asc: routing on %s across %d backends\n%!" where
+      Printf.printf "asc: routing on %s across %d backends\n%!"
+        (Asc_core.Wire.to_string listen)
         (List.length backends)
     in
     Fun.protect
@@ -939,41 +928,6 @@ let client_cmd =
     in
     Arg.(value & flag & info [ "prometheus" ] ~doc)
   in
-  let connect listen =
-    match listen with
-    | Asc_core.Server.Unix_socket path ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX path);
-        fd
-    | Asc_core.Server.Tcp (host, port) ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-        fd
-  in
-  (* One connect/send/receive round trip, with every connection-level
-     failure turned into [Error] so the caller can retry.  Protocol-level
-     failures (an unparseable response) are not retried. *)
-  let try_request listen line =
-    match connect listen with
-    | exception Unix.Unix_error (e, _, _) ->
-        Error (Printf.sprintf "cannot connect: %s" (Unix.error_message e))
-    | fd -> (
-        let finish r =
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          r
-        in
-        try
-          let ic = Unix.in_channel_of_descr fd in
-          let oc = Unix.out_channel_of_descr fd in
-          output_string oc line;
-          output_char oc '\n';
-          flush oc;
-          finish (Ok (input_line ic))
-        with
-        | End_of_file -> finish (Error "server closed the connection")
-        | Sys_error msg -> finish (Error msg)
-        | Unix.Unix_error (e, _, _) -> finish (Error (Unix.error_message e)))
-  in
   (* Pipelined submission: up to [pipeline] requests in flight on one
      connection, responses matched to requests by the echoed [id]
      member, so out-of-order completion (multi-worker shards, cache
@@ -996,16 +950,12 @@ let client_cmd =
     let outstanding : (int, unit) Hashtbl.t = Hashtbl.create 8 in
     let conn = ref None in
     let conn_attempts = ref 0 in
-    let request_line j =
-      J.to_string ~compact:true
-        (P.request_to_json
-           (P.Submit
-              { spec = specs.(j); want_tset; client_id = Some j }))
+    let request j =
+      P.request_to_json
+        (P.Submit { spec = specs.(j); want_tset; client_id = Some j })
     in
     let disconnect () =
-      (match !conn with
-      | Some (fd, _, _) -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-      | None -> ());
+      Option.iter (fun (fd, _) -> Asc_core.Wire.close fd) !conn;
       conn := None;
       (* Unanswered submissions go back in the send queue, in request
          order so output order is stable. *)
@@ -1028,29 +978,25 @@ let client_cmd =
       match !conn with
       | Some c -> c
       | None -> (
-          match connect listen with
+          match Asc_core.Wire.connect listen with
           | fd ->
-              let c =
-                (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
-              in
+              let c = (fd, Asc_core.Wire.frames ()) in
               conn := Some c;
               c
           | exception Unix.Unix_error (e, _, _) ->
-              retry_or_die
-                (Printf.sprintf "cannot connect: %s" (Unix.error_message e));
+              retry_or_die ("cannot connect: " ^ Unix.error_message e);
+              ensure_conn ()
+          | exception Invalid_argument msg ->
+              retry_or_die ("cannot connect: " ^ msg);
               ensure_conn ())
     in
     let send j =
-      let _, _, oc = ensure_conn () in
-      match
-        output_string oc (request_line j);
-        output_char oc '\n';
-        flush oc
-      with
+      let fd, _ = ensure_conn () in
+      match Asc_core.Wire.send fd (request j) with
       | () ->
           Hashtbl.replace outstanding j ();
           pending := List.filter (fun k -> k <> j) !pending
-      | exception (Sys_error _ | Unix.Unix_error _) ->
+      | exception Unix.Unix_error _ ->
           retry_or_die "connection lost while sending"
     in
     let handle_response line =
@@ -1094,11 +1040,10 @@ let client_cmd =
       let slots = pipeline - Hashtbl.length outstanding in
       List.iteri (fun i j -> if i < slots then send j) ready;
       if Hashtbl.length outstanding > 0 then begin
-        let _, ic, _ = ensure_conn () in
-        match input_line ic with
-        | line -> handle_response line
-        | exception (End_of_file | Sys_error _) ->
-            retry_or_die "server closed the connection"
+        let fd, frames = ensure_conn () in
+        match Asc_core.Wire.recv fd frames with
+        | Some line -> handle_response line
+        | None -> retry_or_die "server closed the connection"
         | exception Unix.Unix_error (e, _, _) ->
             retry_or_die (Unix.error_message e)
       end
@@ -1224,7 +1169,9 @@ let client_cmd =
                 "unknown client op %S (ping|metrics|shutdown|submit|raw)" other
         in
         let rec attempt n =
-          match try_request listen line with
+          (* Connection-level failures are [Error]s and retried;
+             protocol-level ones (an unparseable response) are not. *)
+          match Asc_core.Wire.request listen line with
           | Ok response -> response
           | Error msg when n < retries ->
               let delay = backoff_sleep (n + 1) in

@@ -53,9 +53,8 @@ module Rng = Asc_util.Rng
 module Backoff = Asc_util.Backoff
 
 type config = {
-  listen : Server.listen;
-  backends : (string * Server.listen) list;  (* display name, address *)
-  max_frame : int;
+  listen : Wire.listen;
+  backends : (string * Wire.listen) list;  (* display name, address *)
   request_retries : int;  (* failover attempts per submit past the first *)
 }
 
@@ -66,13 +65,6 @@ let default_request_retries = 3
 let ping_interval = 1.0
 let probe_timeout = 2.0
 let probe_backoff_base = 0.1
-
-type conn = {
-  fd : Unix.file_descr;
-  cid : int;
-  buf : Buffer.t;
-  mutable alive : bool;
-}
 
 (* One submit the router has accepted and not yet answered.  [e_rid] is
    the router-assigned correlation id on the backend wire; the client's
@@ -95,10 +87,10 @@ type backend_state =
 
 type backend = {
   b_name : string;
-  b_addr : Server.listen;
+  b_addr : Wire.listen;
   mutable b_state : backend_state;
   mutable b_fd : Unix.file_descr option;
-  b_buf : Buffer.t;
+  mutable b_frames : Wire.frames;  (* fresh per connection *)
   b_inflight : (int, entry) Hashtbl.t;  (* router id -> entry *)
   mutable b_fails : int;  (* consecutive failed probes, for backoff *)
   mutable b_next_probe : float;
@@ -114,39 +106,9 @@ type state = {
   rng : Rng.t;  (* probe-backoff jitter *)
   started : float;
   backends : backend array;
-  conns : (int, conn) Hashtbl.t;
-  cumulative : (string, int) Hashtbl.t;
-  mutable next_cid : int;
+  front : Wire.front;
   mutable next_rid : int;
-  mutable running : bool;
-  mutable draining : bool;
-  mutable drained : int;  (* submits answered during drain *)
-  mutable shutdown_waiters : int list;
 }
-
-(* --- Client side (the same framing discipline as Server) ---------------- *)
-
-let close_conn state conn =
-  if conn.alive then begin
-    conn.alive <- false;
-    Hashtbl.remove state.conns conn.cid;
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  end
-
-let write_client state conn json =
-  let line = J.to_string ~compact:true json ^ "\n" in
-  try
-    let n = String.length line in
-    let sent = ref 0 in
-    while !sent < n do
-      sent := !sent + Unix.write_substring conn.fd line !sent (n - !sent)
-    done
-  with Unix.Unix_error _ | Sys_error _ -> close_conn state conn
-
-let answer_client state cid json =
-  match Hashtbl.find_opt state.conns cid with
-  | Some conn when conn.alive -> write_client state conn json
-  | _ -> ()
 
 (* --- Rendezvous hashing -------------------------------------------------- *)
 
@@ -170,35 +132,11 @@ let choose state ~key ~tried =
 
 (* --- Backend lifecycle --------------------------------------------------- *)
 
-let resolve_host host =
-  try Unix.inet_addr_of_string host
-  with Failure _ -> (
-    try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    with Not_found | Invalid_argument _ ->
-      invalid_arg (Printf.sprintf "cannot resolve host %S" host))
-
-let connect_addr = function
-  | Server.Unix_socket path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_UNIX path)
-       with e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e);
-      fd
-  | Server.Tcp (host, port) ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_INET (resolve_host host, port))
-       with e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e);
-      fd
-
 let write_backend b json =
   match b.b_fd with
   | None -> raise (Sys_error "backend not connected")
   | Some fd ->
-      let line = J.to_string ~compact:true json ^ "\n" in
-      let n = String.length line in
-      let sent = ref 0 in
-      while !sent < n do
-        sent := !sent + Unix.write_substring fd line !sent (n - !sent)
-      done
+      Wire.send fd json
 
 let submit_request entry =
   Protocol.request_to_json
@@ -216,7 +154,7 @@ let forward state b entry =
   Hashtbl.replace b.b_inflight entry.e_rid entry
 
 let reject state entry ~reason message =
-  answer_client state entry.e_cid
+  Wire.answer state.front entry.e_cid
     (Protocol.error_response ~reason ?id:entry.e_client_id message)
 
 (* Dispatch an accepted submit to the shard the content key hashes to,
@@ -255,11 +193,8 @@ let rec dispatch state entry =
 and mark_down state b =
   let was_up = b.b_state = Up in
   b.b_state <- Down;
-  Option.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    b.b_fd;
+  Option.iter Wire.close b.b_fd;
   b.b_fd <- None;
-  Buffer.clear b.b_buf;
   b.b_fails <- b.b_fails + 1;
   b.b_next_probe <-
     Unix.gettimeofday ()
@@ -302,26 +237,20 @@ let mark_up state b fd =
 (* Probe a down backend: connect and send a ping.  The pong (read off
    the new connection like any backend frame) completes the mark-up;
    silence past [probe_timeout] or any error counts as a failed probe
-   and pushes the next one out on the backoff schedule. *)
+   and pushes the next one out on the backoff schedule ([mark_down] of a
+   backend that is not up only closes it and schedules the next probe:
+   it owns no in-flight submits). *)
 let probe state b =
   match
     Chaos.hit state.chaos Chaos.router_backend_health;
-    let fd = connect_addr b.b_addr in
+    let fd = Wire.connect b.b_addr in
     b.b_fd <- Some fd;
+    b.b_frames <- Wire.frames ();
     write_backend b (Protocol.request_to_json Protocol.Ping)
   with
   | () -> b.b_state <- Probing (Unix.gettimeofday ())
   | exception (Chaos.Killed _ as e) -> raise e
-  | exception (Unix.Unix_error _ | Sys_error _) ->
-      Option.iter
-        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-        b.b_fd;
-      b.b_fd <- None;
-      b.b_fails <- b.b_fails + 1;
-      b.b_next_probe <-
-        Unix.gettimeofday ()
-        +. Backoff.full_jitter ~rng:state.rng ~base:probe_backoff_base
-             b.b_fails
+  | exception (Unix.Unix_error _ | Sys_error _) -> mark_down state b
 
 (* Once per loop turn: send periodic pings on live backends, launch due
    probes, time out silent ones. *)
@@ -340,17 +269,7 @@ let health_tick state =
           | exception (Chaos.Killed _ as e) -> raise e
           | exception (Unix.Unix_error _ | Sys_error _) -> mark_down state b)
       | Down when now >= b.b_next_probe -> probe state b
-      | Probing sent when now -. sent > probe_timeout ->
-          Option.iter
-            (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-            b.b_fd;
-          b.b_fd <- None;
-          b.b_state <- Down;
-          b.b_fails <- b.b_fails + 1;
-          b.b_next_probe <-
-            now
-            +. Backoff.full_jitter ~rng:state.rng ~base:probe_backoff_base
-                 b.b_fails
+      | Probing sent when now -. sent > probe_timeout -> mark_down state b
       | _ -> ())
     state.backends
 
@@ -368,7 +287,7 @@ let relay state b json =
       | None -> () (* stale: the submit already failed over elsewhere *)
       | Some entry ->
           Hashtbl.remove b.b_inflight rid;
-          if state.draining then state.drained <- state.drained + 1;
+          Wire.finished state.front;
           let rewritten =
             match J.as_obj json with
             | None -> json
@@ -384,7 +303,7 @@ let relay state b json =
                        else (k, v))
                      members)
           in
-          answer_client state entry.e_cid rewritten)
+          Wire.answer state.front entry.e_cid rewritten)
 
 let handle_backend_frame state b line =
   match J.parse line with
@@ -401,94 +320,34 @@ let read_backend state b =
   match b.b_fd with
   | None -> ()
   | Some fd -> (
-      let chunk = Bytes.create 65536 in
       match
         Chaos.hit state.chaos Chaos.router_backend_read;
-        Unix.read fd chunk 0 (Bytes.length chunk)
+        Wire.read fd b.b_frames
       with
       | exception (Chaos.Killed _ as e) -> raise e
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | exception (Unix.Unix_error _ | Sys_error _) -> mark_down state b
       | 0 -> mark_down state b
-      | n ->
-          Buffer.add_subbytes b.b_buf chunk 0 n;
-          let continue = ref true in
-          while !continue && b.b_fd <> None do
-            let text = Buffer.contents b.b_buf in
-            match String.index_opt text '\n' with
-            | None -> continue := false
-            | Some i ->
-                let line = String.sub text 0 i in
-                Buffer.clear b.b_buf;
-                Buffer.add_substring b.b_buf text (i + 1)
-                  (String.length text - i - 1);
-                if line <> "" then handle_backend_frame state b line
-          done)
+      | _ -> Wire.iter_frames b.b_frames (handle_backend_frame state b))
 
 (* --- Metrics aggregation ------------------------------------------------- *)
-
-let fold_counters state counters =
-  List.iter
-    (fun (k, v) ->
-      let prev = Option.value ~default:0 (Hashtbl.find_opt state.cumulative k) in
-      Hashtbl.replace state.cumulative k (prev + v))
-    counters
-
-let accumulate state =
-  Option.iter
-    (fun tel ->
-      let snap = Telemetry.drain tel in
-      fold_counters state snap.Telemetry.counters)
-    state.tel
 
 (* One blocking metrics round trip on a fresh connection, so aggregation
    never interleaves with submit traffic on the persistent channels.  An
    unresponsive backend is skipped, not marked down — the health probes
    own that verdict. *)
 let poll_backend_metrics b =
-  match connect_addr b.b_addr with
-  | exception (Unix.Unix_error _ | Sys_error _ | Invalid_argument _) -> None
-  | fd -> (
-      let finally () = try Unix.close fd with Unix.Unix_error _ -> () in
-      Fun.protect ~finally @@ fun () ->
-      match
-        let line = J.to_string ~compact:true
-            (Protocol.request_to_json Protocol.Metrics) ^ "\n" in
-        let n = String.length line in
-        let sent = ref 0 in
-        while !sent < n do
-          sent := !sent + Unix.write_substring fd line !sent (n - !sent)
-        done;
-        let buf = Buffer.create 4096 in
-        let chunk = Bytes.create 65536 in
-        let deadline = Unix.gettimeofday () +. probe_timeout in
-        let rec read_line () =
-          let text = Buffer.contents buf in
-          match String.index_opt text '\n' with
-          | Some i -> Some (String.sub text 0 i)
-          | None -> (
-              let remaining = deadline -. Unix.gettimeofday () in
-              if remaining <= 0.0 then None
-              else
-                match Unix.select [ fd ] [] [] remaining with
-                | [], _, _ -> None
-                | _ -> (
-                    match Unix.read fd chunk 0 (Bytes.length chunk) with
-                    | 0 -> None
-                    | n ->
-                        Buffer.add_subbytes buf chunk 0 n;
-                        read_line ()))
-        in
-        read_line ()
-      with
-      | None -> None
-      | Some line -> (
-          match J.parse line with Ok json -> Some json | Error _ -> None)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> None
-      | exception (Unix.Unix_error _ | Sys_error _) -> None)
+  match
+    Wire.request
+      ~deadline:(Unix.gettimeofday () +. probe_timeout)
+      b.b_addr
+      (J.to_string ~compact:true (Protocol.request_to_json Protocol.Metrics))
+  with
+  | Ok line -> Result.to_option (J.parse line)
+  | Error _ -> None
 
 let aggregate_metrics state =
-  accumulate state;
+  ignore (Wire.accumulate state.front state.tel);
   let pending = ref 0 in
   let counters : (string, int) Hashtbl.t = Hashtbl.create 64 in
   let gauge_sums : (string, float) Hashtbl.t = Hashtbl.create 16 in
@@ -554,11 +413,10 @@ let aggregate_metrics state =
   List.iter
     (fun c ->
       let name = Telemetry.counter_name c in
-      match Hashtbl.find_opt state.cumulative name with
-      | Some n when n > 0 ->
-          let prev = Option.value ~default:0 (Hashtbl.find_opt counters name) in
-          Hashtbl.replace counters name (prev + n)
-      | _ -> ())
+      let n = Wire.counter state.front name in
+      if n > 0 then
+        let prev = Option.value ~default:0 (Hashtbl.find_opt counters name) in
+        Hashtbl.replace counters name (prev + n))
     Telemetry.all_counters;
   let counters =
     List.map
@@ -589,21 +447,13 @@ let inflight_total state =
     0 state.backends
 
 let handle_request state conn = function
-  | Protocol.Ping -> write_client state conn Protocol.ping_response
-  | Protocol.Metrics -> write_client state conn (aggregate_metrics state)
+  | Protocol.Ping -> Wire.reply state.front conn Protocol.ping_response
+  | Protocol.Metrics -> Wire.reply state.front conn (aggregate_metrics state)
   | Protocol.Shutdown ->
-      if inflight_total state = 0 && not state.draining then begin
-        write_client state conn
-          (Protocol.shutdown_response ~drained:state.drained);
-        state.running <- false
-      end
-      else begin
-        state.draining <- true;
-        state.shutdown_waiters <- conn.cid :: state.shutdown_waiters
-      end
+      Wire.shutdown state.front conn ~outstanding:(inflight_total state)
   | Protocol.Submit { spec; want_tset; client_id } -> (
-      if state.draining then
-        write_client state conn
+      if Wire.draining state.front then
+        Wire.reply state.front conn
           (Protocol.error_response ~reason:"draining" ?id:client_id
              "router is draining for shutdown")
       else
@@ -611,13 +461,13 @@ let handle_request state conn = function
         | Error message ->
             (* Resolve errors locally — no point burning a shard round
                trip on a spec every backend would reject identically. *)
-            write_client state conn
+            Wire.reply state.front conn
               (Protocol.error_response ?id:client_id message)
         | Ok key ->
             let entry =
               {
                 e_rid = state.next_rid;
-                e_cid = conn.cid;
+                e_cid = Wire.cid conn;
                 e_client_id = client_id;
                 e_key = key;
                 e_spec = spec;
@@ -632,87 +482,14 @@ let handle_request state conn = function
 let handle_client_frame state conn line =
   match Protocol.request_of_string line with
   | Error message ->
-      write_client state conn (Protocol.error_response message)
+      Wire.reply state.front conn (Protocol.error_response message)
   | Ok request -> handle_request state conn request
-
-let drain_client_frames state conn =
-  let continue = ref true in
-  while !continue && conn.alive do
-    let text = Buffer.contents conn.buf in
-    match String.index_opt text '\n' with
-    | Some i ->
-        let line = String.sub text 0 i in
-        let line =
-          if i > 0 && line.[i - 1] = '\r' then String.sub line 0 (i - 1)
-          else line
-        in
-        Buffer.clear conn.buf;
-        Buffer.add_substring conn.buf text (i + 1) (String.length text - i - 1);
-        if line <> "" then handle_client_frame state conn line
-    | None ->
-        if Buffer.length conn.buf > state.cfg.max_frame then begin
-          write_client state conn
-            (Protocol.error_response
-               (Printf.sprintf "frame exceeds %d bytes" state.cfg.max_frame));
-          close_conn state conn
-        end;
-        continue := false
-  done
-
-let read_client state conn =
-  let chunk = Bytes.create 65536 in
-  match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
-  | 0 -> close_conn state conn
-  | n ->
-      Buffer.add_subbytes conn.buf chunk 0 n;
-      drain_client_frames state conn
-  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      close_conn state conn
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-
-let accept_conn state listener =
-  match Unix.accept listener with
-  | fd, _ ->
-      let conn =
-        { fd; cid = state.next_cid; buf = Buffer.create 256; alive = true }
-      in
-      state.next_cid <- state.next_cid + 1;
-      Hashtbl.replace state.conns conn.cid conn
-  | exception Unix.Unix_error _ -> ()
-
-let bind_listener = function
-  | Server.Unix_socket path ->
-      if Sys.file_exists path then
-        (try Unix.unlink path with Unix.Unix_error _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 16;
-      fd
-  | Server.Tcp (host, port) ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (resolve_host host, port));
-      Unix.listen fd 16;
-      fd
-
-let finish_drain state =
-  if state.draining && inflight_total state = 0 then begin
-    List.iter
-      (fun cid ->
-        match Hashtbl.find_opt state.conns cid with
-        | Some conn when conn.alive ->
-            write_client state conn
-              (Protocol.shutdown_response ~drained:state.drained)
-        | _ -> ())
-      (List.rev state.shutdown_waiters);
-    state.shutdown_waiters <- [];
-    state.running <- false
-  end
 
 let run ?tel ?chaos ?log ?on_ready (cfg : config) =
   if cfg.backends = [] then invalid_arg "Router.run: no backends";
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
+  let front = Wire.open_front cfg.listen in
   let state =
     {
       cfg;
@@ -730,7 +507,7 @@ let run ?tel ?chaos ?log ?on_ready (cfg : config) =
                  b_addr = addr;
                  b_state = Down;
                  b_fd = None;
-                 b_buf = Buffer.create 4096;
+                 b_frames = Wire.frames ();
                  b_inflight = Hashtbl.create 16;
                  b_fails = 0;
                  b_next_probe = 0.0;  (* probe immediately *)
@@ -738,26 +515,15 @@ let run ?tel ?chaos ?log ?on_ready (cfg : config) =
                  b_ever_up = false;
                })
              cfg.backends);
-      conns = Hashtbl.create 16;
-      cumulative = Hashtbl.create 64;
-      next_cid = 0;
+      front;
       next_rid = 0;
-      running = true;
-      draining = false;
-      drained = 0;
-      shutdown_waiters = [];
     }
   in
-  let listener = bind_listener cfg.listen in
   Log.emit log "router.start"
     ~fields:
       [
         ("backends", J.Int (Array.length state.backends));
-        ( "listen",
-          J.Str
-            (match cfg.listen with
-            | Server.Unix_socket path -> path
-            | Server.Tcp (host, port) -> Printf.sprintf "%s:%d" host port) );
+        ("listen", J.Str (Wire.to_string cfg.listen));
       ];
   (* Bring the fleet up before announcing readiness, so an immediate
      first submit doesn't race the initial probes. *)
@@ -766,60 +532,23 @@ let run ?tel ?chaos ?log ?on_ready (cfg : config) =
   Fun.protect
     ~finally:(fun () ->
       Log.emit log "router.shutdown"
-        ~fields:[ ("drained", J.Int state.drained) ];
-      Hashtbl.iter
-        (fun _ conn -> close_conn state conn)
-        (Hashtbl.copy state.conns);
-      Array.iter
-        (fun b ->
-          Option.iter
-            (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-            b.b_fd)
-        state.backends;
-      (try Unix.close listener with Unix.Unix_error _ -> ());
-      match cfg.listen with
-      | Server.Unix_socket path -> (
-          try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-      | Server.Tcp _ -> ())
+        ~fields:[ ("drained", J.Int (Wire.drained front)) ];
+      Array.iter (fun b -> Option.iter Wire.close b.b_fd) state.backends;
+      Wire.close_front front)
     (fun () ->
-      while state.running do
-        let backend_fds =
+      Wire.run front
+        ~timeout:(fun () -> 0.2)
+        ~extra_fds:(fun () ->
           Array.fold_left
-            (fun acc b ->
-              match b.b_fd with Some fd -> fd :: acc | None -> acc)
-            [] state.backends
-        in
-        let fds =
-          (listener :: Hashtbl.fold (fun _ c acc -> c.fd :: acc) state.conns [])
-          @ backend_fds
-        in
-        let readable =
-          match Unix.select fds [] [] 0.2 with
-          | r, _, _ -> r
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-        in
-        List.iter
-          (fun fd ->
-            if state.running then
-              if fd == listener then accept_conn state listener
-              else
-                let client =
-                  Hashtbl.fold
-                    (fun _ c acc -> if c.fd == fd then Some c else acc)
-                    state.conns None
-                in
-                match client with
-                | Some c -> read_client state c
-                | None ->
-                    Array.iter
-                      (fun b ->
-                        match b.b_fd with
-                        | Some bfd when bfd == fd -> read_backend state b
-                        | _ -> ())
-                      state.backends)
-          readable;
-        if state.running then begin
-          health_tick state;
-          finish_drain state
-        end
-      done)
+            (fun acc b -> match b.b_fd with Some fd -> fd :: acc | None -> acc)
+            [] state.backends)
+        ~on_extra:(fun fd ->
+          Array.iter
+            (fun b ->
+              match b.b_fd with
+              | Some bfd when bfd == fd -> read_backend state b
+              | _ -> ())
+            state.backends)
+        ~on_frame:(handle_client_frame state)
+        ~tick:(fun () -> health_tick state)
+        ~outstanding:(fun () -> inflight_total state))

@@ -21,6 +21,12 @@
     ([router_markups]).  With no live backend a submit is rejected with
     a typed [no_backend] error — the router queues nothing.
 
+    Client connections are a {!Wire.front}, as in [asc serve], with the
+    same contract: a malformed frame draws an error response and the
+    connection stays open; an unterminated frame past {!Wire.max_frame}
+    bytes draws a [frame exceeds N bytes] error and closes it; a write
+    failure (client gone) closes it.
+
     [ping] is answered locally; [metrics] polls every live backend and
     returns the fleet aggregate (summed counters and queue depth, merged
     latency histograms) plus the router's own counters and
@@ -34,12 +40,11 @@
     propagates out of {!run} like a crash. *)
 
 type config = {
-  listen : Server.listen;  (** The router's own front socket. *)
-  backends : (string * Server.listen) list;
+  listen : Wire.listen;  (** The router's own front socket. *)
+  backends : (string * Wire.listen) list;
       (** [(name, address)] per shard.  The name (the literal
           [--backend] argument) is the rendezvous-hash identity: keep it
           stable across restarts or placement reshuffles. *)
-  max_frame : int;  (** Per-frame byte cap; {!Server.default_max_frame}. *)
   request_retries : int;
       (** Failover budget: total dispatch attempts allowed per submit.
           {!default_request_retries}. *)

@@ -21,18 +21,7 @@ module Telemetry = Asc_util.Telemetry
 module Histogram = Asc_util.Histogram
 module Log = Asc_util.Log
 
-type listen = Unix_socket of string | Tcp of string * int
-
-type config = { listen : listen; state_dir : string option; max_frame : int }
-
-let default_max_frame = 8 * 1024 * 1024
-
-type conn = {
-  fd : Unix.file_descr;
-  cid : int;
-  buf : Buffer.t;
-  mutable alive : bool;
-}
+type config = { listen : Wire.listen; state_dir : string option }
 
 type state = {
   sched : Scheduler.t;
@@ -42,71 +31,29 @@ type state = {
   trace_file : string option;
   prom_file : string option;
   started : float;
-  max_frame : int;
-  conns : (int, conn) Hashtbl.t;
+  front : Wire.front;
   waiting : (int, int * bool * int option) Hashtbl.t;
       (* job id -> (conn id, want tset, client-supplied id to echo) *)
   max_pending : int option;  (* echoed as gauges; enforced by the scheduler *)
   max_pending_per_source : int option;
-  cumulative : (string, int) Hashtbl.t;  (* counters across telemetry drains *)
   h_queue_wait : Histogram.t;  (* submit -> dispatch *)
   h_execute : Histogram.t;  (* dispatch -> delivery *)
   h_e2e : Histogram.t;  (* submit -> delivery *)
   mutable parent_tracks : Telemetry.track list;  (* preserved across drains *)
   worker_tracks : (int, Telemetry.track list) Hashtbl.t;  (* by worker pid *)
   mutable sup : Supervisor.t option;
-  mutable next_cid : int;
-  mutable running : bool;
-  mutable draining : bool;  (* shutdown received with work outstanding *)
-  mutable drained : int;  (* jobs finished during drain *)
-  mutable shutdown_waiters : int list;  (* conns owed a shutdown response *)
   mutable prom_dirty : bool;  (* a delivery happened since the last write *)
   mutable prom_failed : bool;  (* warn once, then drop silently *)
 }
 
-let close_conn state conn =
-  if conn.alive then begin
-    conn.alive <- false;
-    Hashtbl.remove state.conns conn.cid;
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  end
-
-(* Blocking write of one response line; a failure (client gone, or an
-   injected serve.write fault) closes the connection.  Chaos [Kill]
-   propagates like a crash. *)
-let write_response state conn json =
-  let line = J.to_string ~compact:true json ^ "\n" in
-  try
-    Chaos.hit state.chaos Chaos.serve_write;
-    let n = String.length line in
-    let sent = ref 0 in
-    while !sent < n do
-      sent := !sent + Unix.write_substring conn.fd line !sent (n - !sent)
-    done
-  with
-  | Chaos.Killed _ as e -> raise e
-  | Unix.Unix_error _ | Sys_error _ -> close_conn state conn
-
-(* Fold a counter list into the cumulative table. *)
-let fold_counters state counters =
-  List.iter
-    (fun (k, v) ->
-      let prev = Option.value ~default:0 (Hashtbl.find_opt state.cumulative k) in
-      Hashtbl.replace state.cumulative k (prev + v))
-    counters
-
-(* Fold a fresh telemetry drain into the cumulative table ([drain]
+(* Fold a fresh telemetry drain into the cumulative totals ([drain]
    resets the handle, so the server must aggregate to stay monotonic).
    When stitching a trace, the parent's span buffers — folded away with
    the drain before — are preserved the same way. *)
 let accumulate state =
-  Option.iter
-    (fun tel ->
-      let snap = Telemetry.drain tel in
-      fold_counters state snap.Telemetry.counters;
-      if state.trace_file <> None && snap.Telemetry.tracks <> [] then
-        state.parent_tracks <- state.parent_tracks @ snap.Telemetry.tracks)
-    state.tel
+  let tracks = Wire.accumulate state.front state.tel in
+  if state.trace_file <> None && tracks <> [] then
+    state.parent_tracks <- state.parent_tracks @ tracks
 
 let live_workers state =
   match state.sup with Some s -> Supervisor.live_count s | None -> 0
@@ -117,7 +64,7 @@ let metrics state =
     List.map
       (fun c ->
         let name = Telemetry.counter_name c in
-        (name, Option.value ~default:0 (Hashtbl.find_opt state.cumulative name)))
+        (name, Wire.counter state.front name))
       Telemetry.all_counters
   in
   let cap = function Some c -> float_of_int c | None -> 0.0 in
@@ -171,116 +118,44 @@ let busy_count state =
 let outstanding state = Scheduler.pending state.sched + busy_count state
 
 let handle_request state conn = function
-  | Protocol.Ping -> write_response state conn Protocol.ping_response
-  | Protocol.Metrics -> write_response state conn (metrics state)
+  | Protocol.Ping -> Wire.reply state.front conn Protocol.ping_response
+  | Protocol.Metrics -> Wire.reply state.front conn (metrics state)
   | Protocol.Shutdown ->
-      if outstanding state = 0 && not state.draining then begin
-        write_response state conn
-          (Protocol.shutdown_response ~drained:state.drained);
-        state.running <- false
-      end
-      else begin
-        (* Drain mode: finish queued and in-flight jobs first; the
-           response (with the drained count) is deferred to drain
-           completion. *)
-        state.draining <- true;
-        state.shutdown_waiters <- conn.cid :: state.shutdown_waiters
-      end
+      (* Drain mode: queued and in-flight jobs finish first. *)
+      Wire.shutdown state.front conn ~outstanding:(outstanding state)
   | Protocol.Submit { spec; want_tset; client_id } -> (
-      if state.draining then
-        write_response state conn
+      if Wire.draining state.front then
+        Wire.reply state.front conn
           (Protocol.error_response ~reason:"draining" ?id:client_id
              "server is draining for shutdown")
       else
-        match Scheduler.submit state.sched ~source:conn.cid spec with
+        match Scheduler.submit state.sched ~source:(Wire.cid conn) spec with
         | Scheduler.Rejected message ->
-            write_response state conn (Protocol.error_response ?id:client_id message)
+            Wire.reply state.front conn
+              (Protocol.error_response ?id:client_id message)
         | Scheduler.Overloaded { retry_after_ms } ->
-            write_response state conn
+            Wire.reply state.front conn
               (Protocol.error_response ~reason:"overloaded" ~retry_after_ms
                  ?id:client_id "server overloaded: queue is full")
         | Scheduler.Cached result ->
-            write_response state conn
+            Wire.reply state.front conn
               (Protocol.submit_response ~id:client_id ~cached:true ~want_tset
                  result)
         | Scheduler.Accepted job ->
             (* Deferred: the response is written when the job runs. *)
             Hashtbl.replace state.waiting job.Scheduler.j_id
-              (conn.cid, want_tset, client_id))
+              (Wire.cid conn, want_tset, client_id))
 
 let handle_frame state conn line =
   try
     Chaos.hit state.chaos Chaos.serve_read;
     match Protocol.request_of_string line with
-    | Error message -> write_response state conn (Protocol.error_response message)
+    | Error message ->
+        Wire.reply state.front conn (Protocol.error_response message)
     | Ok request -> handle_request state conn request
   with
   | Chaos.Killed _ as e -> raise e
-  | Sys_error _ -> close_conn state conn
-
-(* Split complete frames out of the connection's buffer. *)
-let drain_frames state conn =
-  let continue = ref true in
-  while !continue && conn.alive do
-    let text = Buffer.contents conn.buf in
-    match String.index_opt text '\n' with
-    | Some i ->
-        let line = String.sub text 0 i in
-        let line =
-          if i > 0 && line.[i - 1] = '\r' then String.sub line 0 (i - 1) else line
-        in
-        Buffer.clear conn.buf;
-        Buffer.add_substring conn.buf text (i + 1) (String.length text - i - 1);
-        if line <> "" then handle_frame state conn line
-    | None ->
-        if Buffer.length conn.buf > state.max_frame then begin
-          write_response state conn
-            (Protocol.error_response
-               (Printf.sprintf "frame exceeds %d bytes" state.max_frame));
-          close_conn state conn
-        end;
-        continue := false
-  done
-
-let read_conn state conn =
-  let chunk = Bytes.create 65536 in
-  match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
-  | 0 -> close_conn state conn
-  | n ->
-      Buffer.add_subbytes conn.buf chunk 0 n;
-      drain_frames state conn
-  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      close_conn state conn
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-
-let accept_conn state listener =
-  match Unix.accept listener with
-  | fd, _ ->
-      let conn = { fd; cid = state.next_cid; buf = Buffer.create 256; alive = true } in
-      state.next_cid <- state.next_cid + 1;
-      Hashtbl.replace state.conns conn.cid conn
-  | exception Unix.Unix_error _ -> ()
-
-let resolve_host host =
-  try Unix.inet_addr_of_string host
-  with Failure _ -> (
-    try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    with Not_found | Invalid_argument _ ->
-      invalid_arg (Printf.sprintf "cannot resolve host %S" host))
-
-let bind_listener = function
-  | Unix_socket path ->
-      if Sys.file_exists path then (try Unix.unlink path with Unix.Unix_error _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 16;
-      fd
-  | Tcp (host, port) ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (resolve_host host, port));
-      Unix.listen fd 16;
-      fd
+  | Sys_error _ -> Wire.close_conn state.front conn
 
 (* Deliver one finished job's response to its submitter, if the
    connection is still around.  Delivery is where the latency
@@ -310,20 +185,17 @@ let deliver state (job, result) =
         ("seconds", J.Float (now -. job.Scheduler.j_submitted));
       ];
   state.prom_dirty <- true;
-  if state.draining then state.drained <- state.drained + 1;
+  Wire.finished state.front;
   match Hashtbl.find_opt state.waiting job.Scheduler.j_id with
   | None -> ()
-  | Some (cid, want_tset, client_id) -> (
+  | Some (cid, want_tset, client_id) ->
       Hashtbl.remove state.waiting job.Scheduler.j_id;
-      match Hashtbl.find_opt state.conns cid with
-      | Some conn when conn.alive ->
-          (* The response id is the client's correlation id when the
-             request carried one (pipelined clients, the shard router),
-             the server's job id otherwise. *)
-          let id = Some (Option.value client_id ~default:job.Scheduler.j_id) in
-          write_response state conn
-            (Protocol.submit_response ~id ~cached:false ~want_tset result)
-      | _ -> ())
+      (* The response id is the client's correlation id when the request
+         carried one (pipelined clients, the shard router), the server's
+         job id otherwise. *)
+      let id = Some (Option.value client_id ~default:job.Scheduler.j_id) in
+      Wire.answer state.front cid
+        (Protocol.submit_response ~id ~cached:false ~want_tset result)
 
 (* Collect supervised results: fold each worker's telemetry drain into
    the cumulative table (so [metrics] reflects multi-worker runs), keep
@@ -332,7 +204,7 @@ let deliver state (job, result) =
 let collect_supervised state sup =
   List.iter
     (fun (o : Supervisor.outcome) ->
-      fold_counters state o.Supervisor.o_counters;
+      Wire.fold_counters state.front o.Supervisor.o_counters;
       if o.Supervisor.o_tracks <> [] && o.Supervisor.o_worker_pid > 0 then begin
         let pid = o.Supervisor.o_worker_pid in
         let prev =
@@ -374,21 +246,6 @@ let write_trace state =
       with Sys_error reason ->
         Printf.eprintf "asc: trace file %s: %s; trace dropped\n%!" path reason)
 
-(* Drain complete: answer every shutdown in arrival order, then stop. *)
-let finish_drain state =
-  if state.draining && outstanding state = 0 then begin
-    List.iter
-      (fun cid ->
-        match Hashtbl.find_opt state.conns cid with
-        | Some conn when conn.alive ->
-            write_response state conn
-              (Protocol.shutdown_response ~drained:state.drained)
-        | _ -> ())
-      (List.rev state.shutdown_waiters);
-    state.shutdown_waiters <- [];
-    state.running <- false
-  end
-
 let serve ?pool ?tel ?chaos ?log ?trace_file ?prom_file ?on_ready ?(workers = 0)
     ?job_retries ?make_pool ?max_pending ?max_pending_per_source ?hb_stale
     config =
@@ -401,6 +258,13 @@ let serve ?pool ?tel ?chaos ?log ?trace_file ?prom_file ?on_ready ?(workers = 0)
     Scheduler.create ?pool ?tel ?chaos ?log ?state_dir:config.state_dir
       ?max_pending ?max_pending_per_source ()
   in
+  (* Every response write passes serve.write: a [Fail] there closes the
+     connection like a client gone; [Kill] propagates like a crash. *)
+  let front =
+    Wire.open_front
+      ~on_write:(fun () -> Chaos.hit chaos Chaos.serve_write)
+      config.listen
+  in
   let state =
     {
       sched;
@@ -410,28 +274,20 @@ let serve ?pool ?tel ?chaos ?log ?trace_file ?prom_file ?on_ready ?(workers = 0)
       trace_file;
       prom_file;
       started = Unix.gettimeofday ();
-      max_frame = config.max_frame;
-      conns = Hashtbl.create 16;
+      front;
       waiting = Hashtbl.create 16;
       max_pending;
       max_pending_per_source;
-      cumulative = Hashtbl.create 64;
       h_queue_wait = Histogram.create ();
       h_execute = Histogram.create ();
       h_e2e = Histogram.create ();
       parent_tracks = [];
       worker_tracks = Hashtbl.create 8;
       sup = None;
-      next_cid = 0;
-      running = true;
-      draining = false;
-      drained = 0;
-      shutdown_waiters = [];
       prom_dirty = false;
       prom_failed = false;
     }
   in
-  let listener = bind_listener config.listen in
   if workers > 0 then
     state.sup <-
       Some
@@ -441,81 +297,49 @@ let serve ?pool ?tel ?chaos ?log ?trace_file ?prom_file ?on_ready ?(workers = 0)
              (* Children must not hold the server's sockets: a stray
                 duplicate would keep client connections half-open past
                 the parent's close. *)
-             (try Unix.close listener with Unix.Unix_error _ -> ());
-             Hashtbl.iter
-               (fun _ c ->
-                 try Unix.close c.fd with Unix.Unix_error _ -> ())
-               state.conns)
+             List.iter Wire.close (Wire.fds front))
            ~workers ());
   Log.emit log "server.start"
     ~fields:
       [
         ("workers", J.Int workers);
-        ( "listen",
-          J.Str
-            (match config.listen with
-            | Unix_socket path -> path
-            | Tcp (host, port) -> Printf.sprintf "%s:%d" host port) );
+        ("listen", J.Str (Wire.to_string config.listen));
       ];
   write_prom state;
   Option.iter (fun f -> f ()) on_ready;
   Fun.protect
     ~finally:(fun () ->
       Option.iter Supervisor.stop state.sup;
-      Log.emit log "server.shutdown" ~fields:[ ("drained", J.Int state.drained) ];
+      Log.emit log "server.shutdown"
+        ~fields:[ ("drained", J.Int (Wire.drained front)) ];
       write_prom state;
       write_trace state;
-      Hashtbl.iter (fun _ conn -> close_conn state conn)
-        (Hashtbl.copy state.conns);
-      (try Unix.close listener with Unix.Unix_error _ -> ());
-      match config.listen with
-      | Unix_socket path -> (
-          try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-      | Tcp _ -> ())
+      Wire.close_front front)
     (fun () ->
-      while state.running do
-        (* Service the socket first — zero timeout when a dispatch can
-           happen right now so a burst of submissions lands before it. *)
-        let dispatch_ready =
-          Scheduler.pending state.sched > 0
-          &&
-          match state.sup with
-          | None -> true
-          | Some s ->
-              Supervisor.live_count s - Supervisor.busy_count s > 0
-              || (Supervisor.all_retired s && Supervisor.live_count s = 0)
-        in
-        let timeout = if dispatch_ready then 0.0 else 0.2 in
-        let sup_fds =
-          match state.sup with Some s -> Supervisor.fds s | None -> []
-        in
-        let fds =
-          (listener :: Hashtbl.fold (fun _ c acc -> c.fd :: acc) state.conns [])
-          @ sup_fds
-        in
-        let readable =
-          match Unix.select fds [] [] timeout with
-          | r, _, _ -> r
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-        in
-        List.iter
-          (fun fd ->
-            if state.running then
-              if fd == listener then accept_conn state listener
-              else
-                let found =
-                  Hashtbl.fold
-                    (fun _ c acc -> if c.fd == fd then Some c else acc)
-                    state.conns None
-                in
-                match found with
-                | Some c -> read_conn state c
-                | None ->
-                    Option.iter
-                      (fun s -> Supervisor.handle_readable s ~sched fd)
-                      state.sup)
-          readable;
-        if state.running then begin
+      Wire.run front
+        ~timeout:(fun () ->
+          (* Service the socket first — zero timeout when a dispatch can
+             happen right now so a burst of submissions lands before
+             it. *)
+          let dispatch_ready =
+            Scheduler.pending sched > 0
+            &&
+            match state.sup with
+            | None -> true
+            | Some s ->
+                Supervisor.live_count s - Supervisor.busy_count s > 0
+                || (Supervisor.all_retired s && Supervisor.live_count s = 0)
+          in
+          if dispatch_ready then 0.0 else 0.2)
+        ~extra_fds:(fun () ->
+          match state.sup with Some s -> Supervisor.fds s | None -> [])
+        ~on_extra:(fun fd ->
+          Option.iter
+            (fun s -> Supervisor.handle_readable s ~sched fd)
+            state.sup)
+        ~on_frame:(handle_frame state)
+        ~outstanding:(fun () -> outstanding state)
+        ~tick:(fun () ->
           (match state.sup with
           | None ->
               (* In-process mode: run exactly one queued job to
@@ -536,7 +360,4 @@ let serve ?pool ?tel ?chaos ?log ?trace_file ?prom_file ?on_ready ?(workers = 0)
           if state.prom_dirty then begin
             state.prom_dirty <- false;
             write_prom state
-          end;
-          finish_drain state
-        end
-      done)
+          end))

@@ -1,6 +1,9 @@
 (** The [asc serve] daemon: a single-threaded select loop that accepts
     {!Protocol} requests over a stream socket and drains the
-    {!Scheduler}'s queue between socket services (docs/SERVING.md).
+    {!Scheduler}'s queue between socket services (docs/SERVING.md).  The
+    listener, client connections and framing are a {!Wire.front}; this
+    module holds the request handlers, the job and worker state, and the
+    metrics.
 
     One loop iteration services every readable connection (accepting new
     ones, buffering frames, answering [ping] / [metrics] / [shutdown] and
@@ -11,23 +14,18 @@
 
     Failure contract: a malformed frame gets an error response and the
     connection stays open; an over-long frame (no newline within
-    [max_frame] bytes) gets an error response and the connection is
-    closed; a write failure (client gone) closes the connection and the
-    job's result is dropped.  A chaos [Kill] at any armed point
-    propagates out of {!serve} like a crash — deliberately: the soak
-    test restarts the server and expects checkpointed jobs to resume. *)
-
-type listen =
-  | Unix_socket of string  (** Path; a stale socket file is replaced. *)
-  | Tcp of string * int  (** Host (name or dotted quad) and port. *)
+    {!Wire.max_frame} bytes) gets a [frame exceeds N bytes] error response
+    and the connection is closed; a write failure (client gone, or an
+    injected [serve.write] fault) closes the connection and the job's
+    result is dropped; a [serve.read] fault closes the connection.  A
+    chaos [Kill] at any armed point propagates out of {!serve} like a
+    crash — deliberately: the soak test restarts the server and expects
+    checkpointed jobs to resume. *)
 
 type config = {
-  listen : listen;
+  listen : Wire.listen;
   state_dir : string option;  (** Enables per-job checkpoint/resume. *)
-  max_frame : int;  (** Per-frame byte cap; {!default_max_frame}. *)
 }
-
-val default_max_frame : int
 
 (** [serve ?pool ?tel ?chaos ?on_ready ?workers ?job_retries ?make_pool
     config] runs until a client sends [shutdown].  A shutdown with work

@@ -60,7 +60,7 @@ type worker = {
   mutable w_pid : int;
   mutable w_to : Unix.file_descr;  (* parent -> worker job channel *)
   mutable w_from : Unix.file_descr;  (* worker -> parent event channel *)
-  w_buf : Buffer.t;
+  mutable w_frames : Wire.frames;  (* fresh per spawn *)
   mutable w_busy : Scheduler.job option;
   mutable w_alive : bool;
   mutable w_retired : bool;
@@ -107,16 +107,7 @@ type t = {
    supervisor, decorrelated across a fleet of servers. *)
 let backoff t restarts = Backoff.full_jitter ~cap:5.0 ~rng:t.rng ~base:t.backoff_base restarts
 
-(* --- Wire codec (one JSON object per line on each pipe) ----------------- *)
-
-let write_all fd s =
-  let n = String.length s in
-  let sent = ref 0 in
-  while !sent < n do
-    sent := !sent + Unix.write_substring fd s !sent (n - !sent)
-  done
-
-let send_line fd json = write_all fd (J.to_string ~compact:true json ^ "\n")
+(* --- Wire codec (one JSON object per {!Wire} frame on each pipe) --------- *)
 
 let job_message (job : Scheduler.job) =
   J.Obj
@@ -303,7 +294,7 @@ let worker_main t ~from_parent ~to_parent =
       ~persist_results:false ()
   in
   let send json =
-    match send_line to_parent json with
+    match Wire.send to_parent json with
     | () -> true
     | exception (Unix.Unix_error _ | Sys_error _) -> false
   in
@@ -346,8 +337,7 @@ let worker_main t ~from_parent ~to_parent =
         let counters, spans = drain () in
         send (result_message ?spans ~id result counters))
   in
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 65536 in
+  let frames = Wire.frames () in
   let rec loop () =
     match Unix.select [ from_parent ] [] [] 1.0 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
@@ -361,23 +351,12 @@ let worker_main t ~from_parent ~to_parent =
         in
         if ok then loop () else Unix._exit 0
     | _ -> (
-        match Unix.read from_parent chunk 0 (Bytes.length chunk) with
+        match Wire.read from_parent frames with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
         | 0 -> Unix._exit 0 (* parent closed the job channel: shut down *)
-        | n ->
-            Buffer.add_subbytes buf chunk 0 n;
-            let continue = ref true in
-            while !continue do
-              let text = Buffer.contents buf in
-              match String.index_opt text '\n' with
-              | None -> continue := false
-              | Some i ->
-                  let line = String.sub text 0 i in
-                  Buffer.clear buf;
-                  Buffer.add_substring buf text (i + 1)
-                    (String.length text - i - 1);
-                  if line <> "" && not (run_line line) then Unix._exit 0
-            done;
+        | _ ->
+            Wire.iter_frames frames (fun line ->
+                if not (run_line line) then Unix._exit 0);
             loop ())
   in
   match loop () with
@@ -386,8 +365,6 @@ let worker_main t ~from_parent ~to_parent =
   | exception _ -> Unix._exit 70
 
 (* --- Parent: spawn / reap / restart ------------------------------------- *)
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* Fork one worker into [w]'s slot.  Raises [Sys_error] when the chaos
    [worker.fork] point injects a spawn failure (the caller backs off and
@@ -401,26 +378,26 @@ let spawn t w =
   let ev_r, ev_w = Unix.pipe ~cloexec:false () in
   match Unix.fork () with
   | 0 ->
-      close_quietly job_w;
-      close_quietly ev_r;
+      Wire.close job_w;
+      Wire.close ev_r;
       Array.iter
         (fun s ->
           if s.w_alive && s.w_slot <> w.w_slot then begin
-            close_quietly s.w_to;
-            close_quietly s.w_from
+            Wire.close s.w_to;
+            Wire.close s.w_from
           end)
         t.workers;
       Option.iter (fun f -> f ()) t.on_child_fork;
       worker_main t ~from_parent:job_r ~to_parent:ev_w
   | pid ->
-      close_quietly job_r;
-      close_quietly ev_w;
+      Wire.close job_r;
+      Wire.close ev_w;
       w.w_pid <- pid;
       w.w_to <- job_w;
       w.w_from <- ev_r;
       w.w_alive <- true;
       w.w_busy <- None;
-      Buffer.clear w.w_buf;
+      w.w_frames <- Wire.frames ();
       w.w_last_hb <- Unix.gettimeofday ();
       Log.emit t.log
         (if w.w_restarts = 0 then "worker.start" else "worker.restart")
@@ -459,9 +436,8 @@ let parent_outcome job result =
 let handle_death t ~sched w =
   if w.w_alive then begin
     w.w_alive <- false;
-    close_quietly w.w_to;
-    close_quietly w.w_from;
-    Buffer.clear w.w_buf;
+    Wire.close w.w_to;
+    Wire.close w.w_from;
     (try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ());
     if not t.stopping then begin
       Telemetry.incr t.tel Telemetry.Worker_crashes;
@@ -569,29 +545,15 @@ let handle_readable t ~sched fd =
   with
   | None -> ()
   | Some w -> (
-      let chunk = Bytes.create 65536 in
-      match Unix.read w.w_from chunk 0 (Bytes.length chunk) with
+      match Wire.read w.w_from w.w_frames with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | exception Unix.Unix_error _ -> handle_death t ~sched w
       | 0 -> handle_death t ~sched w
-      | n ->
-          Buffer.add_subbytes w.w_buf chunk 0 n;
-          let continue = ref true in
-          while !continue && w.w_alive do
-            let text = Buffer.contents w.w_buf in
-            match String.index_opt text '\n' with
-            | None -> continue := false
-            | Some i ->
-                let line = String.sub text 0 i in
-                Buffer.clear w.w_buf;
-                Buffer.add_substring w.w_buf text (i + 1)
-                  (String.length text - i - 1);
-                if line <> "" then begin
-                  match J.parse line with
-                  | Ok json -> handle_message t w json
-                  | Error _ -> ()
-                end
-          done)
+      | _ ->
+          Wire.iter_frames w.w_frames (fun line ->
+              match J.parse line with
+              | Ok json -> handle_message t w json
+              | Error _ -> ()))
 
 let idle_worker t =
   Array.fold_left
@@ -622,7 +584,7 @@ let dispatch t ~sched =
               | exception Chaos.Killed _ -> true
               | exception Sys_error _ -> false (* transient: dispatch anyway *)
             in
-            match send_line w.w_to (job_message job) with
+            match Wire.send w.w_to (job_message job) with
             | () ->
                 w.w_busy <- Some job;
                 Log.emit t.log "job.dispatched" ~job:job.Scheduler.j_key
@@ -687,7 +649,7 @@ let create ?tel ?chaos ?log ?(trace = false) ?state_dir ?(job_retries = 3)
               w_pid = -1;
               w_to = Unix.stdin;
               w_from = Unix.stdin;
-              w_buf = Buffer.create 256;
+              w_frames = Wire.frames ();
               w_busy = None;
               w_alive = false;
               w_retired = false;
@@ -747,8 +709,8 @@ let stop t =
         w.w_alive <- false;
         (* Closing the job channel is the shutdown signal: the worker
            sees EOF on its next loop turn and exits 0. *)
-        close_quietly w.w_to;
-        close_quietly w.w_from;
+        Wire.close w.w_to;
+        Wire.close w.w_from;
         (try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ())
       end)
     t.workers

@@ -115,6 +115,7 @@ def main() -> None:
         "source": "bench --quick --json",
         "bench_schema": bench.get("schema"),
         "domains": bench.get("domains"),
+        "host_cores": bench.get("host_cores"),
         "kernel": kernel,
         "fsim": bench.get("fsim"),
         "atpg": bench.get("atpg"),

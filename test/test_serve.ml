@@ -4,11 +4,14 @@
    black-box suites driving the real `asc serve` binary over a Unix
    socket — protocol conformance with golden transcripts, malformed-frame
    fuzzing, served-vs-one-shot determinism at several pool sizes, and a
-   chaos kill/resume soak. *)
+   chaos kill/resume soak; the shared {!Asc_core.Wire} framing (a QCheck
+   chunking property, the frame cap on `asc serve` and `asc route`) and
+   `asc client` over TCP with a host name. *)
 
 open Asc_util
 module Scheduler = Asc_core.Scheduler
 module Protocol = Asc_core.Protocol
+module Wire = Asc_core.Wire
 module Scan_test = Asc_scan.Scan_test
 module Tset_io = Asc_scan.Tset_io
 
@@ -499,6 +502,50 @@ let prop_tset_roundtrip =
       && Array.length back = Array.length tests
       && Array.for_all2 Scan_test.equal back tests)
 
+(* Wire's splitter, fed through a pipe in arbitrary chunks, yields the
+   stream's complete lines with one trailing CR stripped and blank lines
+   dropped — the same frames as splitting the whole stream at once. *)
+let prop_wire_frames_any_chunking =
+  let open QCheck.Gen in
+  let stream =
+    string_size
+      ~gen:
+        (frequency
+           [ (6, oneofl [ 'a'; 'b'; '{'; '"' ]); (2, return '\n'); (1, return '\r') ])
+      (0 -- 400)
+  in
+  QCheck.Test.make ~name:"Wire frames are independent of chunking" ~count:300
+    (QCheck.make
+       ~print:(fun (s, sizes) ->
+         Printf.sprintf "%S in chunks %s" s
+           (String.concat "," (List.map string_of_int sizes)))
+       (pair stream (list_size (1 -- 8) (1 -- 70))))
+    (fun (s, sizes) ->
+      let expected =
+        let lines = String.split_on_char '\n' s in
+        List.filteri (fun i _ -> i < List.length lines - 1) lines
+        |> List.map (fun l ->
+               let n = String.length l in
+               if n > 0 && l.[n - 1] = '\r' then String.sub l 0 (n - 1) else l)
+        |> List.filter (fun l -> l <> "")
+      in
+      let r, w = Unix.pipe () in
+      Fun.protect ~finally:(fun () -> Unix.close r; Unix.close w) @@ fun () ->
+      let frames = Wire.frames () in
+      let got = ref [] in
+      let rec feed pos = function
+        | [] -> feed pos sizes
+        | k :: rest when pos < String.length s ->
+            let k = min k (String.length s - pos) in
+            ignore (Unix.write_substring w s pos k);
+            if Wire.read r frames <> k then failwith "short pipe read";
+            Wire.iter_frames frames (fun l -> got := l :: !got);
+            feed (pos + k) rest
+        | _ -> ()
+      in
+      feed 0 sizes;
+      List.rev !got = expected)
+
 (* --- Black-box suites over the real binary ----------------------------- *)
 
 let asc_exe =
@@ -724,6 +771,117 @@ let test_server_fuzz_malformed () =
           shutdown_server c)
     in
     Alcotest.(check bool) "clean exit" true (st = Unix.WEXITED 0)
+
+(* An unterminated frame longer than [Wire.max_frame] draws the typed
+   error, then the connection is closed. *)
+let check_oversize_frame sock =
+  let c = client_connect sock in
+  Fun.protect ~finally:(fun () -> client_close c) @@ fun () ->
+  (* A server that ignores the cap would leave this read blocked. *)
+  Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO 30.0;
+  client_send c (String.make (Wire.max_frame + 1) 'x');
+  let resp = client_recv c in
+  check_bool_member resp "ok" false;
+  Alcotest.(check string) "names the cap"
+    (Printf.sprintf "frame exceeds %d bytes" Wire.max_frame)
+    (str_member resp "error");
+  Alcotest.check_raises "connection closed" End_of_file (fun () ->
+      ignore (client_recv c))
+
+(* The frame cap holds on both client-facing fronts: `asc serve`, and
+   `asc route` in front of it; each keeps serving other connections. *)
+let test_oversize_frame_closes () =
+  if not (Sys.file_exists asc_exe) then Alcotest.skip ()
+  else
+    let st =
+      with_server ~domains:1 (fun sock ->
+          check_oversize_frame sock;
+          let dir = Filename.dirname sock in
+          let front = Filename.concat dir "front.sock" in
+          let pid =
+            spawn_server
+              [ "route"; "--socket"; front; "--backend"; sock ]
+              (Filename.concat dir "route.log")
+          in
+          let status = ref None in
+          Fun.protect
+            ~finally:(fun () ->
+              if !status = None then begin
+                (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+                try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+              end)
+            (fun () ->
+              wait_for_socket front;
+              check_oversize_frame front;
+              let c = client_connect front in
+              Fun.protect ~finally:(fun () -> client_close c) (fun () ->
+                  shutdown_server c);
+              status := Some (snd (Unix.waitpid [] pid)));
+          Alcotest.(check bool) "router clean exit" true
+            (!status = Some (Unix.WEXITED 0));
+          let c = client_connect sock in
+          Fun.protect ~finally:(fun () -> client_close c) (fun () ->
+              shutdown_server c))
+    in
+    Alcotest.(check bool) "clean exit" true (st = Unix.WEXITED 0)
+
+(* `asc client --tcp localhost:P` resolves the host name the way
+   `asc serve --tcp` does. *)
+let test_client_tcp_host_name () =
+  if not (Sys.file_exists asc_exe) then Alcotest.skip ()
+  else begin
+    let port =
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      match Unix.getsockname fd with
+      | Unix.ADDR_INET (_, p) -> p
+      | Unix.ADDR_UNIX _ -> Alcotest.fail "no TCP port"
+    in
+    let dir = temp_dir "asc-tcp" in
+    let log = Filename.concat dir "server.log" in
+    let pid =
+      spawn_server
+        [
+          "serve"; "--tcp"; Printf.sprintf "127.0.0.1:%d" port; "--domains"; "1";
+        ]
+        log
+    in
+    let status = ref None in
+    Fun.protect
+      ~finally:(fun () ->
+        if !status = None then begin
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+        end;
+        rm_rf dir)
+    @@ fun () ->
+    let rec await n =
+      if not (contains (read_file log) "asc: serving on") then
+        if n = 0 then Alcotest.fail "TCP server never came up"
+        else begin
+          Unix.sleepf 0.05;
+          await (n - 1)
+        end
+    in
+    await 200;
+    let client op =
+      let ic =
+        Unix.open_process_args_in asc_exe
+          [| "asc"; "client"; "--tcp"; Printf.sprintf "localhost:%d" port; op |]
+      in
+      let out = In_channel.input_all ic in
+      (String.trim out, Unix.close_process_in ic)
+    in
+    let out, st = client "ping" in
+    Alcotest.(check string) "pong over localhost" ping_golden out;
+    Alcotest.(check bool) "ping exits 0" true (st = Unix.WEXITED 0);
+    Alcotest.(check bool) "shutdown exits 0" true
+      (snd (client "shutdown") = Unix.WEXITED 0);
+    status := Some (snd (Unix.waitpid [] pid));
+    Alcotest.(check bool) "server clean exit" true
+      (!status = Some (Unix.WEXITED 0))
+  end
 
 (* Determinism: concurrently served jobs are byte-identical to one-shot
    `asc save-tests`, whatever the server's pool size; resubmission is
@@ -1488,10 +1646,15 @@ let suite =
         Alcotest.test_case "submit response shape" `Quick test_submit_response_shape;
         qtest prop_json_roundtrip;
         qtest prop_tset_roundtrip;
+        qtest prop_wire_frames_any_chunking;
         Alcotest.test_case "server conformance over a socket" `Quick
           test_server_conformance;
         Alcotest.test_case "server survives malformed-frame fuzzing" `Quick
           test_server_fuzz_malformed;
+        Alcotest.test_case "over-long frame is refused and closed" `Quick
+          test_oversize_frame_closes;
+        Alcotest.test_case "client resolves a TCP host name" `Quick
+          test_client_tcp_host_name;
         Alcotest.test_case "served jobs are deterministic and cached" `Slow
           test_server_determinism;
         Alcotest.test_case "chaos kill/resume soak" `Slow test_server_chaos_soak;
