@@ -896,12 +896,6 @@ let client_cmd =
                (same format as $(b,asc save-tests))." in
     Arg.(value & opt (some string) None & info [ "save" ] ~doc ~docv:"FILE")
   in
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
   let retries_arg =
     let doc =
       "Retry a failed connection (or a connection dropped before the \
@@ -1078,7 +1072,7 @@ let client_cmd =
     in
     match op with
     | "submit" ->
-        let netlist_text = Option.map read_file netlist in
+        let netlist_text = Option.map Asc_util.Durable.read_file netlist in
         if circuits = [] && netlist_text = None then
           die exit_usage "submit needs CIRCUIT names or --netlist FILE";
         let make_spec circuit =

@@ -36,14 +36,16 @@
    load as a snapshot that differs from what was saved.  v1 files (no
    trailer) still load; a v1 file carrying a [crc] line is rejected.
 
-   Files are written atomically (temp file + rename), so a run killed
-   mid-write leaves the previous checkpoint intact.  [write_file] adds
-   rotation ([keep] copies: <file>, <file>.1, …), bounded retry with
-   backoff on transient [Sys_error]s, and chaos injection points around
-   every syscall; [load_latest_valid] recovers by falling back across
-   rotated copies when the newest one is corrupt or missing. *)
+   The file mechanics are {!Asc_util.Durable}'s: the trailer is its
+   [seal], and [write_file] is its atomic replace (temp file + rename,
+   rotation over [keep] copies <file>, <file>.1, …, bounded retry with
+   backoff) with this module's chaos points fired before every syscall.
+   [load_latest_valid] recovers by falling back across every existing
+   rotated copy, newest first, when the newest one is corrupt or
+   missing. *)
 
 module Circuit = Asc_netlist.Circuit
+module Durable = Asc_util.Durable
 module Scan_test = Asc_scan.Scan_test
 module Tset_io = Asc_scan.Tset_io
 
@@ -101,17 +103,22 @@ let to_string (s : Pipeline.snapshot) =
           add "endadd\n")
         p3.ph3_added);
   (* The trailer covers every byte emitted so far, comments included. *)
-  let body = Buffer.contents buf in
-  body ^ Printf.sprintf "crc %s\n" (Asc_util.Crc.to_hex (Asc_util.Crc.crc32 body))
+  Durable.seal (Buffer.contents buf)
 
 (* Parser: single pass, mutable slots; [section] tracks whether v-lines
    belong to the header (none), the T_C block or the tau block. *)
 type section = Top | In_seq | In_tau | In_add
 
 let of_string text =
-  let lines = String.split_on_char '\n' text in
+  (* An intact trailer is stripped before parsing; without one the whole
+     text is parsed and must be v1. *)
+  let body, seal_error =
+    match Durable.unseal text with
+    | Ok body -> (body, None)
+    | Error reason -> (text, Some reason)
+  in
+  let lines = String.split_on_char '\n' body in
   let version = ref None in
-  let crc_claim = ref None in
   let circuit = ref None in
   let seed = ref None
   and t0 = ref None
@@ -151,11 +158,6 @@ let of_string text =
         | None -> s
       in
       if s <> "" then begin
-        (* The CRC trailer covers every byte before it, so nothing may
-           follow it. *)
-        (match !crc_claim with
-        | Some (cl, _) when cl <> line -> fail line "content after crc trailer"
-        | _ -> ());
         match (String.split_on_char ' ' s, !section) with
         | [ "checkpoint"; "v1" ], Top -> version := Some 1
         | [ "checkpoint"; "v2" ], Top -> version := Some 2
@@ -226,33 +228,21 @@ let of_string text =
             if !add_acc = [] then fail line "add without vectors";
             adds := Scan_test.create ~si ~seq:(Array.of_list (List.rev !add_acc)) :: !adds;
             section := Top
-        | [ "crc"; v ], Top -> (
-            if !crc_claim <> None then fail line "duplicate crc trailer";
-            match Asc_util.Crc.of_hex v with
-            | Some n -> crc_claim := Some (line, n)
-            | None -> fail line "bad crc %S" v)
+        | "crc" :: _, Top -> (
+            (* A trailer line that [unseal] did not strip: corrupt, not
+               last, or one too many. *)
+            match seal_error with
+            | Some reason -> fail line "%s (corrupt checkpoint)" reason
+            | None -> fail line "duplicate crc trailer")
         | _, _ -> fail line "unrecognised line %S" s
       end)
     lines;
   if !section <> Top then fail 0 "unterminated block";
-  (match (!version, !crc_claim) with
+  (match (!version, seal_error) with
   | None, _ -> fail 0 "missing checkpoint version line"
-  | Some 1, Some (line, _) -> fail line "crc trailer in a v1 checkpoint"
-  | Some 1, None -> ()
-  | Some 2, None -> fail 0 "missing crc trailer"
-  | Some 2, Some (crc_line, claimed) ->
-      (* The trailer covers the raw bytes of every line before it. *)
-      let offset =
-        let rec go i off = function
-          | [] -> off
-          | l :: tl -> if i = crc_line then off else go (i + 1) (off + String.length l + 1) tl
-        in
-        go 1 0 lines
-      in
-      let body = String.sub text 0 offset in
-      if Asc_util.Crc.crc32 body <> claimed then
-        fail crc_line "crc mismatch (corrupt checkpoint)"
-  | Some _, _ -> assert false);
+  | Some 1, None -> fail (List.length lines) "crc trailer in a v1 checkpoint"
+  | Some 2, Some reason -> fail 0 "%s" reason
+  | Some _, _ -> ());
   let req name r = match !r with Some x -> x | None -> fail 0 "missing %s" name in
   let snap_circuit, snap_pis, snap_ffs = req "circuit" circuit in
   let snap_seq = req "seq block" seq in
@@ -344,88 +334,27 @@ let validate (p : Pipeline.prepared) ~(config : Pipeline.config)
 module Chaos = Asc_util.Chaos
 module Tel = Asc_util.Telemetry
 
-(* One atomic write attempt: temp file + rename, chaos points around each
-   syscall.  Any failure removes the stray temp file before re-raising —
-   except [Chaos.Killed], which models a hard crash and must leave disk
-   state exactly as a SIGKILL would (the partial temp file stays; later
-   writes overwrite it, loads never look at it). *)
-let write_once ?chaos path text =
-  let tmp = path ^ ".tmp" in
-  try
-    Chaos.hit chaos Chaos.checkpoint_open;
-    let oc = open_out tmp in
-    (try
-       Chaos.hit chaos Chaos.checkpoint_output;
-       output_string oc text;
-       close_out oc
-     with e ->
-       let bt = Printexc.get_raw_backtrace () in
-       close_out_noerr oc;
-       Printexc.raise_with_backtrace e bt);
-    Chaos.hit chaos Chaos.checkpoint_rename;
-    Sys.rename tmp path
-  with
-  | Chaos.Killed _ as e -> raise e
-  | e ->
-      let bt = Printexc.get_raw_backtrace () in
-      (try Sys.remove tmp with Sys_error _ -> ());
-      Printexc.raise_with_backtrace e bt
-
-(* Promote existing copies one suffix up: <file>.(k) -> <file>.(k+1), then
-   <file> -> <file>.1.  Each step is one atomic rename, so a crash at any
-   point leaves every snapshot intact under exactly one of the names that
-   [load_latest_valid] probes.  Re-running after a partial rotation is
-   harmless: already-promoted names no longer exist and are skipped. *)
-let rotate ?chaos path ~keep =
-  if keep > 1 && Sys.file_exists path then begin
-    for k = keep - 2 downto 1 do
-      let src = Printf.sprintf "%s.%d" path k in
-      if Sys.file_exists src then begin
-        Chaos.hit chaos Chaos.checkpoint_rotate;
-        Sys.rename src (Printf.sprintf "%s.%d" path (k + 1))
-      end
-    done;
-    Chaos.hit chaos Chaos.checkpoint_rotate;
-    Sys.rename path (path ^ ".1")
-  end
-
 let write_file ?tel ?chaos ?(keep = 1) ?(retries = 2) path (s : Pipeline.snapshot) =
   if keep < 1 then invalid_arg "Checkpoint.write_file: keep must be >= 1";
   if retries < 0 then invalid_arg "Checkpoint.write_file: retries must be >= 0";
   Tel.span tel "checkpoint:write" ~args:[ ("iter", string_of_int s.snap_iter) ]
   @@ fun () ->
-  let text = to_string s in
-  let rec attempt n =
-    match
-      if n = 0 then rotate ?chaos path ~keep;
-      write_once ?chaos path text
-    with
-    | () -> Tel.incr tel Tel.Checkpoint_writes
-    | exception (Chaos.Killed _ as e) -> raise e
-    | exception (Sys_error _ as e) ->
-        Tel.incr tel Tel.Checkpoint_write_failures;
-        if n >= retries then raise e
-        else begin
-          (* Linear backoff, short enough not to distort deadline-aware
-             runs: transient failures (ENOSPC racing a cleaner, NFS
-             hiccups) usually clear within a few milliseconds. *)
-          Unix.sleepf (0.002 *. float_of_int (n + 1));
-          attempt (n + 1)
-        end
+  let step st =
+    Chaos.hit chaos
+      (match st with
+      | Durable.Open -> Chaos.checkpoint_open
+      | Output -> Chaos.checkpoint_output
+      | Rename -> Chaos.checkpoint_rename
+      | Rotate -> Chaos.checkpoint_rotate)
   in
-  attempt 0
+  Durable.replace ~step ~keep ~retries
+    ~on_failure:(fun () -> Tel.incr tel Tel.Checkpoint_write_failures)
+    path (to_string s);
+  Tel.incr tel Tel.Checkpoint_writes
 
 let read_file ?chaos path =
   Chaos.hit chaos Chaos.checkpoint_read;
-  let ic = open_in path in
-  let text =
-    try really_input_string ic (in_channel_length ic)
-    with e ->
-      close_in_noerr ic;
-      raise e
-  in
-  close_in ic;
-  of_string text
+  of_string (Durable.read_file path)
 
 type loaded = {
   snapshot : Pipeline.snapshot;
@@ -434,10 +363,6 @@ type loaded = {
 }
 
 let load_latest_valid ?tel ?chaos path =
-  let rec rotated k =
-    let p = Printf.sprintf "%s.%d" path k in
-    if Sys.file_exists p then p :: rotated (k + 1) else []
-  in
   let rec probe first_error = function
     | [] -> (
         match first_error with
@@ -459,4 +384,4 @@ let load_latest_valid ?tel ?chaos path =
             in
             probe first_error rest)
   in
-  probe None (path :: rotated 1)
+  probe None (path :: Durable.copies path)

@@ -2,12 +2,13 @@
     [asc run] needs to continue from where it stopped and still produce a
     bit-identical result (format in docs/ROBUSTNESS.md).
 
-    Writes are atomic (temp file + rename): a crash mid-write leaves the
-    previous checkpoint intact.  On top of that the layer is self-healing:
-    the v2 format carries a CRC-32 trailer so silent corruption cannot
-    load, {!write_file} rotates previous snapshots ([keep]) and retries
-    transient failures, and {!load_latest_valid} falls back across rotated
-    copies when the newest one is corrupt or missing. *)
+    Writes are atomic ({!Asc_util.Durable.replace}: temp file + rename):
+    a crash mid-write leaves the previous checkpoint intact.  On top of
+    that the layer is self-healing: the v2 format carries a CRC-32
+    trailer so silent corruption cannot load, {!write_file} rotates
+    previous snapshots ([keep]) and retries transient failures, and
+    {!load_latest_valid} falls back across rotated copies when the newest
+    one is corrupt or missing. *)
 
 (** Raised by the parser on a malformed checkpoint file (including a v2
     CRC mismatch). *)
@@ -31,15 +32,9 @@ val of_string : string -> Pipeline.snapshot
 val validate : Pipeline.prepared -> config:Pipeline.config -> Pipeline.snapshot -> unit
 
 (** [write_file ?tel ?chaos ?keep ?retries path s] atomically replaces
-    [path] with [s].
-
-    [keep] (default 1) is the total number of snapshots retained: before
-    the write, existing copies are promoted one suffix up
-    ([path] to [path.1], [path.1] to [path.2], …), each by one atomic
-    rename.  [retries] (default 2) bounds retry-with-backoff on transient
-    [Sys_error]s; the error is re-raised once retries are exhausted, and
-    the stray temp file is removed on every failure path (except a chaos
-    [Kill], which models a hard crash).
+    [path] with [s] by {!Asc_util.Durable.replace}: [keep] (default 1)
+    snapshots are retained by rotation, and [retries] (default 2) bounds
+    retry-with-backoff on [Sys_error]s, re-raised once exhausted.
 
     [tel] records a ["checkpoint:write"] span and bumps
     [Checkpoint_writes] on success and [Checkpoint_write_failures] per
@@ -65,7 +60,8 @@ type loaded = {
 }
 
 (** [load_latest_valid ?tel ?chaos path] reads the newest valid snapshot
-    among [path], [path.1], [path.2], … (in that order — newest first).
+    among [path] and every existing numbered copy ([path.1], [path.2], …,
+    newest first, gaps skipped — see {!Asc_util.Durable.copies}).
     Copies that are missing or raise {!Corrupt} are skipped; a successful
     fallback bumps the [Checkpoint_recoveries] counter.  If no copy
     loads, re-raises the {e newest} copy's error ([Sys_error] when no

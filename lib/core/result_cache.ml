@@ -1,9 +1,10 @@
 (* Persistent content-addressed result cache for the serving layer.
    One file per job key under the state directory, following the
-   Checkpoint v2 durability discipline: plain text with a CRC-32 trailer
-   over every preceding byte, written atomically (temp file + rename)
-   with bounded retry, and corrupt or foreign entries skipped *and
-   deleted* on load so a torn write never wedges a key.
+   Checkpoint v2 durability discipline ({!Asc_util.Durable}): plain text
+   sealed with a CRC-32 trailer over every preceding byte, written
+   atomically (temp file + rename) with bounded retry, and corrupt or
+   foreign entries skipped *and deleted* on load so a torn write never
+   wedges a key.
 
    Format ([result-<key>.res]):
 
@@ -24,7 +25,7 @@
    are ever stored; status therefore needs no encoding — a loaded entry
    is Complete by construction. *)
 
-module Crc = Asc_util.Crc
+module Durable = Asc_util.Durable
 
 type entry = {
   e_key : string;
@@ -41,15 +42,8 @@ type t = {
   mem : (string, entry) Hashtbl.t;
 }
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let create ?dir () =
-  Option.iter mkdir_p dir;
+  Option.iter Durable.mkdir_p dir;
   { dir; mem = Hashtbl.create 64 }
 
 let path ~dir key = Filename.concat dir ("result-" ^ key ^ ".res")
@@ -69,12 +63,12 @@ let entry_to_string e =
   add "tset %d\n" (String.length e.e_tset);
   Buffer.add_string buf e.e_tset;
   add "endtset\n";
-  let body = Buffer.contents buf in
-  body ^ Printf.sprintf "crc %s\n" (Crc.to_hex (Crc.crc32 body))
+  Durable.seal (Buffer.contents buf)
 
 exception Bad of string
 
-let entry_of_string text =
+(* Decodes the body that the CRC trailer covered. *)
+let decode text =
   let pos = ref 0 in
   let len = String.length text in
   (* Next newline-terminated line; the cursor advances past the '\n'. *)
@@ -117,17 +111,7 @@ let entry_of_string text =
     let tset = String.sub text !pos nbytes in
     pos := !pos + nbytes;
     if line () <> "endtset" then raise (Bad "missing endtset");
-    (* The trailer covers every byte before its own line. *)
-    let body_len = !pos in
-    let cl = line () in
-    if String.length cl <> 12 || String.sub cl 0 4 <> "crc " then
-      raise (Bad "missing crc trailer");
-    (match Crc.of_hex (String.sub cl 4 8) with
-    | None -> raise (Bad "bad crc digits")
-    | Some claimed ->
-        if Crc.crc32 (String.sub text 0 body_len) <> claimed then
-          raise (Bad "crc mismatch (corrupt entry)"));
-    if !pos <> len then raise (Bad "content after crc trailer");
+    if !pos <> len then raise (Bad "content after endtset");
     Ok
       {
         e_key = key;
@@ -140,55 +124,21 @@ let entry_of_string text =
       }
   with Bad message -> Error message
 
-(* --- Store / find ------------------------------------------------------- *)
+let entry_of_string text = Result.bind (Durable.unseal text) decode
 
-(* One atomic write attempt, as in Checkpoint.write_once. *)
-let write_once p text =
-  let tmp = p ^ ".tmp" in
-  try
-    let oc = open_out_bin tmp in
-    (try
-       output_string oc text;
-       close_out oc
-     with e ->
-       close_out_noerr oc;
-       raise e);
-    Sys.rename tmp p
-  with e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
+(* --- Store / find ------------------------------------------------------- *)
 
 let store t e =
   Hashtbl.replace t.mem e.e_key e;
   match t.dir with
   | None -> ()
   | Some dir -> (
-      let p = path ~dir e.e_key in
-      let text = entry_to_string e in
       (* The on-disk copy is an availability optimisation, not ground
          truth (the in-memory entry already answers this process): retry
          transient failures briefly, then give up without failing the
          job that produced the result. *)
-      let rec attempt n =
-        match write_once p text with
-        | () -> ()
-        | exception Sys_error _ when n < 2 ->
-            Unix.sleepf (0.002 *. float_of_int (n + 1));
-            attempt (n + 1)
-        | exception Sys_error _ -> ()
-      in
-      attempt 0)
-
-let read_file p =
-  let ic = open_in_bin p in
-  let text =
-    try really_input_string ic (in_channel_length ic)
-    with e ->
-      close_in_noerr ic;
-      raise e
-  in
-  close_in ic;
-  text
+      try Durable.replace ~retries:2 (path ~dir e.e_key) (entry_to_string e)
+      with Sys_error _ -> ())
 
 (* [find] returns [from_disk = true] when the entry was faulted in from
    the persistent store (a restart-surviving hit).  A file that fails to
@@ -204,7 +154,7 @@ let find t key =
           let p = path ~dir key in
           if not (Sys.file_exists p) then None
           else
-            match entry_of_string (read_file p) with
+            match entry_of_string (Durable.read_file p) with
             | Ok e when e.e_key = key ->
                 Hashtbl.replace t.mem key e;
                 Some (e, true)

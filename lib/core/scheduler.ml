@@ -157,16 +157,9 @@ type t = {
       (* deadline-expired jobs dropped by [pick], awaiting delivery *)
 }
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let create ?pool ?tel ?chaos ?log ?state_dir ?(persist_results = true)
     ?max_pending ?max_pending_per_source () =
-  Option.iter mkdir_p state_dir;
+  Option.iter Asc_util.Durable.mkdir_p state_dir;
   let positive name = function
     | Some n when n < 1 ->
         invalid_arg (Printf.sprintf "Scheduler.create: %s must be >= 1" name)
@@ -425,10 +418,9 @@ let ckpt_path t job =
 
 (* Best-effort removal of a completed job's snapshot and rotated copies. *)
 let cleanup_checkpoints path =
-  for i = 0 to 4 do
-    let f = if i = 0 then path else path ^ "." ^ string_of_int i in
-    if Sys.file_exists f then (try Sys.remove f with Sys_error _ -> ())
-  done
+  List.iter
+    (fun f -> try Sys.remove f with Sys_error _ -> ())
+    (path :: Asc_util.Durable.copies path)
 
 let execute t job =
   let budget = Budget.create ?timeout:job.j_timeout () in

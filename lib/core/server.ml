@@ -29,7 +29,7 @@ type state = {
   chaos : Chaos.t option;
   log : Log.t option;
   trace_file : string option;
-  prom_file : string option;
+  mutable prom_file : string option;  (* None after a failed write *)
   started : float;
   front : Wire.front;
   waiting : (int, int * bool * int option) Hashtbl.t;
@@ -43,7 +43,6 @@ type state = {
   worker_tracks : (int, Telemetry.track list) Hashtbl.t;  (* by worker pid *)
   mutable sup : Supervisor.t option;
   mutable prom_dirty : bool;  (* a delivery happened since the last write *)
-  mutable prom_failed : bool;  (* warn once, then drop silently *)
 }
 
 (* Fold a fresh telemetry drain into the cumulative totals ([drain]
@@ -89,28 +88,22 @@ let metrics state =
   Protocol.metrics_response ~gauges ~histograms
     ~pending:(Scheduler.pending state.sched) ~counters ()
 
-(* Rewrite the Prometheus exposition file (write-then-rename, so a
-   scraper never reads a torn file).  A sink failure warns once and
-   disables further writes — observability never takes the server
-   down. *)
+(* Rewrite the Prometheus exposition file ({!Asc_util.Durable.replace},
+   so a scraper never reads a torn file and a failure leaves no temp
+   file).  A sink failure warns once and disables further writes —
+   observability never takes the server down. *)
 let write_prom state =
   match state.prom_file with
   | None -> ()
-  | Some path when not state.prom_failed -> (
+  | Some path -> (
       match Protocol.prometheus_of_metrics (metrics state) with
       | Error _ -> ()
       | Ok text -> (
-          let tmp = path ^ ".tmp" in
-          try
-            let oc = open_out tmp in
-            output_string oc text;
-            close_out oc;
-            Sys.rename tmp path
-          with Sys_error reason | Unix.Unix_error (_, reason, _) ->
-            state.prom_failed <- true;
+          try Asc_util.Durable.replace path text
+          with Sys_error reason ->
+            state.prom_file <- None;
             Printf.eprintf "asc: prometheus file %s: %s; disabling\n%!" path
               reason))
-  | Some _ -> ()
 
 let busy_count state =
   match state.sup with Some s -> Supervisor.busy_count s | None -> 0
@@ -285,7 +278,6 @@ let serve ?pool ?tel ?chaos ?log ?trace_file ?prom_file ?on_ready ?(workers = 0)
       worker_tracks = Hashtbl.create 8;
       sup = None;
       prom_dirty = false;
-      prom_failed = false;
     }
   in
   if workers > 0 then

@@ -126,21 +126,10 @@ let parse_string ~name text =
   Builder.finalize b
 
 let parse_file ?chaos path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
   let text =
-    try
-      Asc_util.Chaos.hit chaos Asc_util.Chaos.bench_io_read;
-      really_input_string ic len
-    with
-    (* A simulated crash must leave the process state exactly as a
-       SIGKILL would: no cleanup, the channel stays open. *)
-    | Asc_util.Chaos.Killed _ as e -> raise e
-    | e ->
-        close_in ic;
-        raise e
+    Asc_util.Durable.read_file path ~after_open:(fun () ->
+        Asc_util.Chaos.hit chaos Asc_util.Chaos.bench_io_read)
   in
-  close_in ic;
   let base = Filename.remove_extension (Filename.basename path) in
   parse_string ~name:base text
 

@@ -118,18 +118,6 @@ let write_file path c tests =
   close_out oc
 
 let read_file ?chaos path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text =
-    try
-      Asc_util.Chaos.hit chaos Asc_util.Chaos.tset_io_read;
-      really_input_string ic len
-    with
-    (* Simulated crash: no cleanup, like a SIGKILL mid-read. *)
-    | Asc_util.Chaos.Killed _ as e -> raise e
-    | e ->
-        close_in ic;
-        raise e
-  in
-  close_in ic;
-  of_string text
+  of_string
+    (Asc_util.Durable.read_file path ~after_open:(fun () ->
+         Asc_util.Chaos.hit chaos Asc_util.Chaos.tset_io_read))

@@ -1,9 +1,11 @@
 (* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over strings.
 
-   Used as the checkpoint-trailer integrity check: CRC-32 detects every
-   single-bit error and every burst up to 32 bits, which is exactly the
-   corruption class a torn or bit-rotted checkpoint file exhibits.  The
-   value fits in 32 bits and is kept in a non-negative [int]. *)
+   Used as the integrity trailer of sealed files ({!Durable.seal}):
+   CRC-32 detects every single-bit error and every burst up to 32 bits,
+   which is exactly the corruption class a torn or bit-rotted file
+   exhibits.  Also a cheap, stable string hash (job keys, shard
+   weights).  The value fits in 32 bits and is kept in a non-negative
+   [int]. *)
 
 let table =
   lazy
@@ -23,10 +25,3 @@ let crc32 s =
   !c lxor 0xFFFFFFFF
 
 let to_hex c = Printf.sprintf "%08x" c
-
-let of_hex s =
-  if String.length s <> 8 then None
-  else
-    match int_of_string_opt ("0x" ^ s) with
-    | Some n when n >= 0 && n <= 0xFFFFFFFF -> Some n
-    | _ -> None

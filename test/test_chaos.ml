@@ -266,6 +266,28 @@ let test_rotation_and_recovery () =
   | _ -> Alcotest.fail "expected Sys_error"
   | exception Sys_error _ -> ()
 
+(* A crash between the two renames of one rotation leaves <file>, <file>.2
+   and no <file>.1.  Recovery must skip the gap and still find .2. *)
+let test_recovery_skips_rotation_gap () =
+  with_ckpt_path @@ fun path ->
+  let snap iter = { ckpt_snapshot with Pipeline.snap_iter = iter } in
+  List.iter (fun i -> Checkpoint.write_file ~keep:3 path (snap i)) [ 1; 2; 3 ];
+  let chaos =
+    Chaos.create
+      [ { Chaos.point = Chaos.checkpoint_rotate; occurrence = 2; action = Chaos.Kill } ]
+  in
+  (match Checkpoint.write_file ~chaos ~keep:3 path (snap 4) with
+  | () -> Alcotest.fail "expected Killed"
+  | exception Chaos.Killed _ -> ());
+  Alcotest.(check bool) "newest still in place" true (Sys.file_exists path);
+  Alcotest.(check bool) "gap at .1" false (Sys.file_exists (path ^ ".1"));
+  Alcotest.(check bool) ".2 present" true (Sys.file_exists (path ^ ".2"));
+  corrupt_file path;
+  let l = Checkpoint.load_latest_valid path in
+  Alcotest.(check string) "recovered from .2" (path ^ ".2") l.Checkpoint.source;
+  Alcotest.(check bool) "flagged as recovered" true l.Checkpoint.recovered;
+  Alcotest.(check int) "the second snapshot" 2 l.Checkpoint.snapshot.snap_iter
+
 (* --- Pool survival after a poisoned task ------------------------------- *)
 
 let test_pool_survives_poisoned_task () =
@@ -592,6 +614,8 @@ let suite =
           test_kill_is_a_hard_crash;
         Alcotest.test_case "rotation recovers from a corrupt newest copy" `Quick
           test_rotation_and_recovery;
+        Alcotest.test_case "recovery skips a gap left mid-rotation" `Quick
+          test_recovery_skips_rotation_gap;
         Alcotest.test_case "file readers fail and die mid-read" `Quick
           test_io_read_points;
         Alcotest.test_case "event-log sink faults degrade or kill" `Quick

@@ -614,8 +614,9 @@ let client_close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 (* Spawn `asc serve` on a fresh Unix socket, run [f socket_path], then
    reap the process (the body normally shuts the server down itself; the
    kill in [finally] is the safety net so one failure cannot hang the
-   suite).  Returns the server's exit status. *)
-let with_server ?env ?(domains = 2) ?state_dir ?(args = []) f =
+   suite).  Returns the server's exit status.  The server's stdout and
+   stderr go to [log] (default: a file in the removed temp dir). *)
+let with_server ?env ?(domains = 2) ?state_dir ?log ?(args = []) f =
   let dir = temp_dir "asc-serve" in
   let sock = Filename.concat dir "asc.sock" in
   let args =
@@ -623,7 +624,8 @@ let with_server ?env ?(domains = 2) ?state_dir ?(args = []) f =
     @ (match state_dir with None -> [] | Some d -> [ "--state-dir"; d ])
     @ args
   in
-  let pid = spawn_server ?env args (Filename.concat dir "server.log") in
+  let log = Option.value log ~default:(Filename.concat dir "server.log") in
+  let pid = spawn_server ?env args log in
   let status = ref None in
   Fun.protect
     ~finally:(fun () ->
@@ -1335,6 +1337,34 @@ let test_server_obs_identity () =
           (contains prom_text "asc_job_e2e_seconds_bucket{le=\"+Inf\"} 2\n"))
       [ 1; 4 ]
 
+(* A Prometheus file that cannot be written (here: the path is a
+   directory) disables the writer after exactly one warning, never fails
+   the job, and leaves no <file>.tmp behind. *)
+let test_prom_write_failure () =
+  if not (Sys.file_exists asc_exe) then Alcotest.skip ()
+  else
+    let dir = temp_dir "asc-prom-fail" in
+    Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+    let prom = Filename.concat dir "prom.txt" in
+    Unix.mkdir prom 0o755;
+    let log = Filename.concat dir "server.log" in
+    let st =
+      with_server ~log ~domains:1 ~args:[ "--prom-file"; prom ] (fun sock ->
+          let c = client_connect sock in
+          Fun.protect ~finally:(fun () -> client_close c) @@ fun () ->
+          client_request c (submit_line "s27");
+          check_bool_member (client_recv c) "ok" true;
+          shutdown_server c)
+    in
+    Alcotest.(check bool) "server exits cleanly" true (st = Unix.WEXITED 0);
+    let warnings =
+      String.split_on_char '\n' (read_file log)
+      |> List.filter (fun l -> contains l "prometheus file")
+    in
+    Alcotest.(check int) "exactly one warning" 1 (List.length warnings);
+    Alcotest.(check bool) "no temp file left" false
+      (Sys.file_exists (prom ^ ".tmp"))
+
 (* --- Overload, shedding, jitter and staleness --------------------------- *)
 
 let test_backoff_bounds () =
@@ -1668,6 +1698,8 @@ let suite =
           test_scheduler_pending_counts_redo;
         Alcotest.test_case "observability never perturbs served results" `Slow
           test_server_obs_identity;
+        Alcotest.test_case "a failed prometheus write leaves no temp file" `Slow
+          test_prom_write_failure;
         Alcotest.test_case "backoff delays and full jitter stay in bounds"
           `Quick test_backoff_bounds;
         Alcotest.test_case "admission control rejects past --max-pending"

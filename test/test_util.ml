@@ -1,5 +1,5 @@
 (* Tests for Asc_util: words, bit vectors, bit matrices, RNG, tables,
-   stats.  Property tests check the packed structures against naive
+   stats, durable files.  Property tests check the packed structures against naive
    bool-array models. *)
 
 open Asc_util
@@ -266,6 +266,118 @@ let test_table_group_mismatch () =
     (Invalid_argument "Table.create: group span mismatch") (fun () ->
       ignore (Table.create ~caption:"x" ~groups:[ ("a", 2) ] [ Table.left "one" ]))
 
+(* --- Durable ------------------------------------------------------------ *)
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "asc-durable" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let rec rm p =
+    if Sys.is_directory p then begin
+      Array.iter (fun n -> rm (Filename.concat p n)) (Sys.readdir p);
+      Sys.rmdir p
+    end
+    else Sys.remove p
+  in
+  Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
+
+let prop_durable_seal_roundtrip =
+  QCheck.Test.make ~name:"Durable.unseal inverts seal" ~count:300
+    QCheck.string (fun s -> Durable.unseal (Durable.seal s) = Ok s)
+
+(* Any single-byte change, truncation or appended byte of a sealed text
+   is rejected: the CRC covers the body, and the trailer must be the
+   exact canonical last line. *)
+let prop_durable_seal_rejects_damage =
+  let open QCheck.Gen in
+  let damaged =
+    string >>= fun body ->
+    let sealed = Durable.seal body in
+    let n = String.length sealed in
+    oneof
+      [
+        ( int_bound (n - 1) >>= fun k ->
+          int_range 1 255 >>= fun d ->
+          let b = Bytes.of_string sealed in
+          Bytes.set b k (Char.chr ((Char.code sealed.[k] + d) mod 256));
+          return (Bytes.to_string b) );
+        (int_bound (n - 1) >>= fun k -> return (String.sub sealed 0 k));
+        (char >>= fun c -> return (sealed ^ String.make 1 c));
+      ]
+  in
+  QCheck.Test.make ~name:"Durable.unseal rejects flipped, truncated and padded texts"
+    ~count:500
+    (QCheck.make ~print:String.escaped damaged)
+    (fun text -> Result.is_error (Durable.unseal text))
+
+let read path = Durable.read_file path
+
+(* After n replaces with [keep = k], <file>, <file>.1, … hold the last
+   [min n k] texts, newest first, and no other copy exists. *)
+let prop_durable_rotation =
+  QCheck.Test.make ~name:"Durable.replace keeps the last min n k texts" ~count:40
+    QCheck.(pair (int_range 1 7) (int_range 1 4))
+    (fun (n, keep) ->
+      with_temp_dir @@ fun dir ->
+      let path = Filename.concat dir "f" in
+      let text i = Printf.sprintf "text %d\n" i in
+      for i = 1 to n do
+        Durable.replace ~keep path (text i)
+      done;
+      let kept = List.init (min n keep) (fun j -> text (n - j)) in
+      List.map read (path :: Durable.copies path) = kept
+      && Durable.copies path
+         = List.init (min n keep - 1) (fun j -> Printf.sprintf "%s.%d" path (j + 1)))
+
+(* A replace that fails at open, write or rename — injected through the
+   step hook, or a real rename onto a directory — leaves no temp file and
+   an unchanged target. *)
+let prop_durable_failed_replace =
+  let failing =
+    QCheck.(
+      triple (option small_printable_string)
+        (make ~print:(function `Open -> "open" | `Output -> "output"
+                       | `Rename -> "rename" | `Dir -> "directory target")
+           Gen.(oneofl [ `Open; `Output; `Rename; `Dir ]))
+        small_printable_string)
+  in
+  QCheck.Test.make ~name:"Durable.replace failures leave no temp file" ~count:40
+    failing (fun (before, where, text) ->
+      with_temp_dir @@ fun dir ->
+      let path = Filename.concat dir "f" in
+      let before = if where = `Dir then None else before in
+      Option.iter (fun b -> Durable.replace path b) before;
+      if where = `Dir then Sys.mkdir path 0o755;
+      let step st =
+        match (st, where) with
+        | Durable.Open, `Open | Output, `Output | Rename, `Rename ->
+            raise (Sys_error "injected")
+        | _ -> ()
+      in
+      let raised =
+        match Durable.replace ~step ~retries:1 path text with
+        | () -> false
+        | exception Sys_error _ -> true
+      in
+      let unchanged =
+        match before with
+        | _ when where = `Dir -> Sys.is_directory path
+        | Some b -> read path = b
+        | None -> not (Sys.file_exists path)
+      in
+      raised && unchanged && not (Sys.file_exists (path ^ ".tmp")))
+
+let test_durable_copies () =
+  with_temp_dir @@ fun dir ->
+  let path = Filename.concat dir "ck" in
+  List.iter
+    (fun n -> Out_channel.with_open_bin (Filename.concat dir n) ignore)
+    [ "ck"; "ck.2"; "ck.10"; "ck.3"; "ck.07"; "ck.x"; "ck.tmp"; "ck.0"; "other.1" ];
+  Alcotest.(check (list string)) "numbered copies, newest first, gaps skipped"
+    (List.map (fun k -> Printf.sprintf "%s.%d" path k) [ 2; 3; 10 ])
+    (Durable.copies path);
+  Alcotest.(check (list string)) "no copies" [] (Durable.copies (path ^ "x"))
+
 let suite =
   [
     ( "util",
@@ -292,5 +404,10 @@ let suite =
         Alcotest.test_case "stats percentile" `Quick test_stats_percentile;
         Alcotest.test_case "table" `Quick test_table;
         Alcotest.test_case "table group mismatch" `Quick test_table_group_mismatch;
+        qtest prop_durable_seal_roundtrip;
+        qtest prop_durable_seal_rejects_damage;
+        qtest prop_durable_rotation;
+        qtest prop_durable_failed_replace;
+        Alcotest.test_case "durable copies" `Quick test_durable_copies;
       ] );
   ]
