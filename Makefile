@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-quick ablations micro examples fmt fmt-check clean
+.PHONY: all build test bench bench-quick ablations examples fmt fmt-check clean
 
 all: build
 
@@ -19,15 +19,11 @@ bench-quick:      ## small-circuit subset
 ablations:        ## design-choice ablations A-F
 	dune exec bench/main.exe -- --ablations
 
-micro:            ## Bechamel kernel micro-benchmarks
-	dune exec bench/main.exe -- --micro
-
 examples:
 	dune exec examples/quickstart.exe
 	dune exec examples/compaction_flow.exe
 	dune exec examples/at_speed_delay.exe
 	dune exec examples/custom_circuit.exe
-	dune exec examples/diagnosis.exe
 
 fmt:              ## reformat in place (needs ocamlformat)
 	dune build @fmt --auto-promote

@@ -11,7 +11,6 @@
      dune exec bench/main.exe -- --circuits s298,s344
      dune exec bench/main.exe -- --seed 7
      dune exec bench/main.exe -- --no-dynamic --no-atspeed
-     dune exec bench/main.exe -- --micro       # Bechamel kernel benchmarks
      dune exec bench/main.exe -- --ablations   # design-choice ablations A-E
 *)
 
@@ -30,7 +29,6 @@ type options = {
   mutable seed : int;
   mutable dynamic : bool;
   mutable at_speed : bool;
-  mutable micro : bool;
   mutable ablations : bool;
   mutable domains : int option; (* --domains N: pool size for fault simulation *)
   mutable json : string option; (* --json FILE: machine-readable summary *)
@@ -40,7 +38,7 @@ type options = {
 let parse_args () =
   let o =
     { circuits = default_circuits; quick = false; seed = 1; dynamic = true;
-      at_speed = true; micro = false; ablations = false; domains = None;
+      at_speed = true; ablations = false; domains = None;
       json = None; trace = None }
   in
   let rec go = function
@@ -69,9 +67,6 @@ let parse_args () =
         go rest
     | "--no-atspeed" :: rest ->
         o.at_speed <- false;
-        go rest
-    | "--micro" :: rest ->
-        o.micro <- true;
         go rest
     | "--ablations" :: rest ->
         o.ablations <- true;
@@ -534,98 +529,15 @@ let json_summary o ~domains ~timings ~fsim ~atpg ~kernel =
   (match o.json with
   | Some file -> (
       try
-        J.write_file file doc;
+        Asc_util.Durable.replace file (J.to_string doc ^ "\n");
         Printf.printf "wrote %s\n%!" file
       with Sys_error msg -> Printf.eprintf "cannot write JSON summary: %s\n%!" msg)
   | None -> ());
   print_endline (J.to_string doc)
 
-(* --- Bechamel micro-benchmarks ----------------------------------------- *)
-
-(* One Test.make per table: each benchmark regenerates the data behind the
-   corresponding table on a small circuit, so Bechamel can sample it. *)
-let micro_tests () =
-  let open Bechamel in
-  let name = "s298" in
-  let c = Asc_circuits.Registry.get name in
-  let config =
-    { Asc_core.Pipeline.default_config with
-      t0_source = Asc_core.Pipeline.Directed (Asc_circuits.Registry.t0_budget name) }
-  in
-  let prepared = Asc_core.Pipeline.prepare ~config c in
-  let faults = prepared.faults in
-  let directed = lazy (Asc_core.Pipeline.run ~config prepared) in
-  let random_cfg =
-    { config with t0_source = Asc_core.Pipeline.Random_seq 1000 }
-  in
-  (* Table 1 and 2 come from the proposed pipeline's phases (directed T0);
-     Table 3 adds the [4] baseline; Table 4 needs the final sets' length
-     statistics; Table 5 is the random-T0 pipeline.  The extension table
-     exercises the transition-fault simulator. *)
-  [
-    Test.make ~name:"table1+2: proposed pipeline (directed T0)"
-      (Staged.stage (fun () -> ignore (Asc_core.Pipeline.run ~config prepared)));
-    Test.make ~name:"table3: static baseline of [4]"
-      (Staged.stage (fun () -> ignore (Asc_core.Baseline_static.run prepared)));
-    Test.make ~name:"table4: length statistics of the final set"
-      (Staged.stage (fun () ->
-           ignore
-             (Asc_scan.Time_model.length_stats (Lazy.force directed).final_tests)));
-    Test.make ~name:"table5: proposed pipeline (random T0)"
-      (Staged.stage (fun () -> ignore (Asc_core.Pipeline.run ~config:random_cfg prepared)));
-    Test.make ~name:"tableA: transition-fault coverage"
-      (Staged.stage (fun () ->
-           let tf = Asc_tfault.Tfault.universe c in
-           ignore
-             (Asc_tfault.Tfault.coverage c (Lazy.force directed).final_tests ~faults:tf)));
-    (* Kernels under everything above. *)
-    Test.make ~name:"kernel: sequential fault simulation (62 lanes)"
-      (Staged.stage
-         (let si = Array.make (Asc_netlist.Circuit.n_dffs c) false in
-          let rng = Asc_util.Rng.create 7 in
-          let seq =
-            Array.init 64 (fun _ ->
-                Asc_util.Rng.bool_array rng (Asc_netlist.Circuit.n_inputs c))
-          in
-          fun () -> ignore (Asc_fault.Seq_fsim.detect c ~si ~seq ~faults)));
-    Test.make ~name:"kernel: PODEM over the fault list"
-      (Staged.stage
-         (let podem = Asc_atpg.Podem.create c in
-          fun () ->
-            Array.iter (fun f -> ignore (Asc_atpg.Podem.run podem f)) faults));
-  ]
-
-let run_micro () =
-  let open Bechamel in
-  let benchmark test =
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 2.0) ~kde:(Some 100) () in
-    Benchmark.all cfg [ instance ] test
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true
-        ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Toolkit.Instance.monotonic_clock results
-  in
-  List.iter
-    (fun test ->
-      let results = benchmark test in
-      let stats = analyze results in
-      Hashtbl.iter
-        (fun name r ->
-          match Analyze.OLS.estimates r with
-          | Some [ est ] ->
-              Printf.printf "%-50s %12.0f ns/run\n%!" name est
-          | _ -> Printf.printf "%-50s (no estimate)\n%!" name)
-        stats)
-    (micro_tests ())
-
 let () =
   let o = parse_args () in
-  if o.micro then run_micro ()
-  else if o.ablations then
+  if o.ablations then
     Ablations.run_all ~seed:o.seed
       ?names:(if o.circuits == default_circuits then None else Some o.circuits)
       ()
@@ -654,7 +566,10 @@ let () =
        (those drain their own handles for the utilization report). *)
     (match (tel, o.trace) with
     | Some tel, Some file ->
-        Asc_util.Telemetry.write_trace file (Asc_util.Telemetry.drain tel);
+        Asc_util.Durable.replace file
+          (Asc_util.Json.to_string ~compact:true
+             (Asc_util.Telemetry.trace_json (Asc_util.Telemetry.drain tel))
+          ^ "\n");
         Printf.printf "wrote trace to %s\n%!" file
     | _ -> ());
     (* The fault-simulation phase comparison runs whenever a domain count

@@ -252,21 +252,23 @@ let emit_json path ~circuit ~status ~reason ~stage ~iterations ~tests ~cycles
     ~detected ~targets ~metrics =
   let module J = Asc_util.Json in
   let opt = function None -> J.Null | Some s -> J.Str s in
-  J.write_file path
-    (J.Obj
-       ([
-          ("schema", J.Int json_schema);
-          ("circuit", J.Str circuit);
-          ("status", J.Str status);
-          ("reason", opt reason);
-          ("stage", opt stage);
-          ("iterations", J.Int iterations);
-          ("tests", J.Int tests);
-          ("cycles", J.Int cycles);
-          ("detected", J.Int detected);
-          ("targets", J.Int targets);
-        ]
-       @ match metrics with None -> [] | Some m -> [ ("metrics", m) ]))
+  let doc =
+    J.Obj
+      ([
+         ("schema", J.Int json_schema);
+         ("circuit", J.Str circuit);
+         ("status", J.Str status);
+         ("reason", opt reason);
+         ("stage", opt stage);
+         ("iterations", J.Int iterations);
+         ("tests", J.Int tests);
+         ("cycles", J.Int cycles);
+         ("detected", J.Int detected);
+         ("targets", J.Int targets);
+       ]
+      @ match metrics with None -> [] | Some m -> [ ("metrics", m) ])
+  in
+  Asc_util.Durable.replace path (J.to_string doc ^ "\n")
 
 let trace_arg =
   let doc =
@@ -334,7 +336,10 @@ let run_cmd =
         (fun (s : Asc_util.Telemetry.snapshot) ->
           Option.iter
             (fun path ->
-              Asc_util.Telemetry.write_trace path s;
+              Asc_util.Durable.replace path
+                (Asc_util.Json.to_string ~compact:true
+                   (Asc_util.Telemetry.trace_json s)
+                ^ "\n");
               Printf.printf "wrote trace to %s\n" path)
             trace;
           if counters then begin
@@ -1111,10 +1116,7 @@ let client_cmd =
                   else path
                 in
                 match Option.bind (J.member "tset" json) J.as_str with
-                | Some tset ->
-                    let och = open_out path in
-                    output_string och tset;
-                    close_out och
+                | Some tset -> Asc_util.Durable.replace path tset
                 | None -> ())
               save;
             let shown =

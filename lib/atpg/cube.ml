@@ -11,8 +11,6 @@ type t = { pis : v array; state : v array }
 
 let create ~n_pis ~n_ffs = { pis = Array.make n_pis X; state = Array.make n_ffs X }
 
-let v_of_bool b = if b then One else Zero
-
 let specified = function Zero | One -> true | X -> false
 
 let specified_count t =

@@ -6,7 +6,6 @@ type v = Zero | One | X
 type t = { pis : v array; state : v array }
 
 val create : n_pis:int -> n_ffs:int -> t
-val v_of_bool : bool -> v
 val specified : v -> bool
 
 (** Number of specified (non-X) positions. *)

@@ -127,4 +127,6 @@ let run ?(config = default_config) c ~faults ~targets ~rng =
           tests := test :: !tests
     end
   done;
+  (* A target PODEM gave up on may still be detected by a later test. *)
+  Bitvec.diff_into ~into:unresolved detected;
   { tests = Array.of_list (List.rev !tests); detected; unresolved }

@@ -231,11 +231,7 @@ let write_trace state =
         Telemetry.stitched_trace_json
           ((Unix.getpid (), parent_name, state.parent_tracks) :: workers)
       in
-      try
-        let oc = open_out path in
-        output_string oc (J.to_string doc);
-        output_char oc '\n';
-        close_out oc
+      try Asc_util.Durable.replace path (J.to_string doc ^ "\n")
       with Sys_error reason ->
         Printf.eprintf "asc: trace file %s: %s; trace dropped\n%!" path reason)
 

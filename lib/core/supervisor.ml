@@ -695,12 +695,6 @@ let live_count t =
 
 let all_retired t = Array.for_all (fun w -> w.w_retired) t.workers
 
-let worker_pids t =
-  Array.fold_left
-    (fun acc w -> if w.w_alive then (w.w_slot, w.w_pid) :: acc else acc)
-    [] t.workers
-  |> List.rev
-
 let stop t =
   t.stopping <- true;
   Array.iter

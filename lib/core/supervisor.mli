@@ -118,11 +118,6 @@ val live_count : t -> int
     execution. *)
 val all_retired : t -> bool
 
-(** [(slot, pid)] of every live worker, in slot order — lets tests (and
-    diagnostics) address a specific worker process, e.g. to SIGSTOP it
-    and exercise the staleness path. *)
-val worker_pids : t -> (int * int) list
-
 (** Orderly shutdown: close job channels (workers exit on EOF) and reap
     every child.  In-flight work is abandoned — drain first. *)
 val stop : t -> unit

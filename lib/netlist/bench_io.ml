@@ -158,9 +158,4 @@ let to_string c =
   Buffer.contents buf
 
 let write_file path c =
-  let oc = open_out path in
-  (try output_string oc (to_string c)
-   with e ->
-     close_out oc;
-     raise e);
-  close_out oc
+  Asc_util.Durable.replace path (to_string c)

@@ -89,8 +89,6 @@ let find t name = Hashtbl.find_opt t.by_name name
 
 let name_of t id = t.nodes.(id).name
 
-let kind_of t id = t.nodes.(id).kind
-
 let finalize t =
   let n = t.n in
   let kinds = Array.init n (fun g -> t.nodes.(g).kind) in

@@ -42,7 +42,6 @@ val add_output : t -> int -> unit
 
 val find : t -> string -> int option
 val name_of : t -> int -> string
-val kind_of : t -> int -> Gate.kind
 
 (** Build the circuit; raises {!Circuit.Structural_error} on unconnected
     signals or structural violations. *)

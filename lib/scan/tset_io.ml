@@ -110,12 +110,7 @@ let check_compatible c (name, tests) =
   tests
 
 let write_file path c tests =
-  let oc = open_out path in
-  (try output_string oc (to_string c tests)
-   with e ->
-     close_out oc;
-     raise e);
-  close_out oc
+  Asc_util.Durable.replace path (to_string c tests)
 
 let read_file ?chaos path =
   of_string

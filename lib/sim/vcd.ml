@@ -66,9 +66,4 @@ let of_scan_test c ~si ~seq =
   Buffer.contents buf
 
 let write_file path c ~si ~seq =
-  let oc = open_out path in
-  (try output_string oc (of_scan_test c ~si ~seq)
-   with e ->
-     close_out oc;
-     raise e);
-  close_out oc
+  Asc_util.Durable.replace path (of_scan_test c ~si ~seq)

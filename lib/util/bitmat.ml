@@ -19,7 +19,6 @@ let row t r =
 let get t r c = Bitvec.get (row t r) c
 let set t r c = Bitvec.set (row t r) c
 let clear t r c = Bitvec.clear (row t r) c
-let assign t r c b = Bitvec.assign (row t r) c b
 
 let set_row t r v =
   if Bitvec.length v <> t.cols then invalid_arg "Bitmat.set_row";

@@ -16,7 +16,6 @@ val row : t -> int -> Bitvec.t
 val get : t -> int -> int -> bool
 val set : t -> int -> int -> unit
 val clear : t -> int -> int -> unit
-val assign : t -> int -> int -> bool -> unit
 
 (** Replace a row wholesale (length must equal [cols]). *)
 val set_row : t -> int -> Bitvec.t -> unit

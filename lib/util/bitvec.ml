@@ -44,8 +44,6 @@ let clear t i =
   check t i;
   t.words.(i / bpw) <- Word.clear t.words.(i / bpw) (i mod bpw)
 
-let assign t i b = if b then set t i else clear t i
-
 let copy t = { len = t.len; words = Array.copy t.words }
 
 let fill t b =
@@ -128,5 +126,3 @@ let init len f =
   t
 
 let to_string t = String.init t.len (fun i -> if get t i then '1' else '0')
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -15,7 +15,6 @@ val length : t -> int
 val get : t -> int -> bool
 val set : t -> int -> unit
 val clear : t -> int -> unit
-val assign : t -> int -> bool -> unit
 
 val copy : t -> t
 
@@ -56,4 +55,3 @@ val of_list : int -> int list -> t
 val init : int -> (int -> bool) -> t
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -1,6 +1,6 @@
 (** The one owner of durable-file mechanics (docs/ROBUSTNESS.md), used by
-    checkpoints, the persistent result cache, the event log's rotation
-    and the Prometheus file.  Callers keep their codecs and failure
+    checkpoints, the persistent result cache, the event log's rotation,
+    the Prometheus file and every whole-file writer.  Callers keep their codecs and failure
     policies, and fire their own chaos points through the hooks. *)
 
 (** What {!replace} and {!rotate} announce to their [step] hook,

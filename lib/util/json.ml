@@ -89,18 +89,6 @@ let to_string ?(compact = false) v =
   value_to buf ~indent:(if compact then -1 else 2) ~level:0 v;
   Buffer.contents buf
 
-let to_channel ?compact oc v =
-  output_string oc (to_string ?compact v);
-  output_char oc '\n'
-
-let write_file ?compact path v =
-  let oc = open_out path in
-  (try to_channel ?compact oc v
-   with e ->
-     close_out_noerr oc;
-     raise e);
-  close_out oc
-
 (* --- Parsing ------------------------------------------------------------ *)
 
 exception Parse_error of { pos : int; message : string }

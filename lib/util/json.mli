@@ -17,12 +17,6 @@ type t =
 (** Render with 2-space indentation, or on one line with [~compact:true]. *)
 val to_string : ?compact:bool -> t -> string
 
-(** [to_string] plus a trailing newline, to a channel. *)
-val to_channel : ?compact:bool -> out_channel -> t -> unit
-
-(** Write to [path] (truncating), with a trailing newline. *)
-val write_file : ?compact:bool -> string -> t -> unit
-
 (** {1 Parsing}
 
     A number that is integral and fits in [int] parses as [Int], anything

@@ -15,7 +15,7 @@
    into one immutable snapshot.
 
    Spans are named begin/end brackets with optional string arguments,
-   recorded per domain at the executing domain's clock; [write_trace]
+   recorded per domain at the executing domain's clock; [trace_json]
    exports them in the Chrome trace-event JSON format (one track per
    domain), which Perfetto and chrome://tracing load directly.  Counters
    are plain monotonic integers, merged across domains on drain.
@@ -516,8 +516,6 @@ let stitched_trace_json processes =
     ]
 
 let trace_json snapshot = stitched_trace_json [ (1, "asc", snapshot.tracks) ]
-
-let write_trace path snapshot = Json.write_file ~compact:true path (trace_json snapshot)
 
 (* --- Metrics summary (the CLI's --json "metrics" object) ---------------- *)
 

@@ -171,9 +171,6 @@ val trace_json : snapshot -> Json.t
     All timestamps must already be on one timeline (see {!origin}). *)
 val stitched_trace_json : (int * string * track list) list -> Json.t
 
-(** [trace_json] written compactly to a file. *)
-val write_trace : string -> snapshot -> unit
-
 (** Span names {!metrics_json} reports under ["phases"]. *)
 val phase_names : string list
 

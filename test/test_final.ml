@@ -9,7 +9,9 @@ module Collapse = Asc_fault.Collapse
 
 let qtest = QCheck_alcotest.to_alcotest
 
-(* File-based IO round-trips (the string paths are covered elsewhere). *)
+(* File-based IO round-trips (the string paths are covered elsewhere),
+   and each writer's failure mode: a write whose rename fails (the target
+   is a directory) raises [Sys_error] and leaves no temp file. *)
 let test_file_io_roundtrips () =
   let c = Asc_circuits.S27.circuit () in
   let rng = Rng.create 4 in
@@ -25,13 +27,35 @@ let test_file_io_roundtrips () =
   Alcotest.(check bool) "tset file roundtrip" true (Array.for_all2 Scan_test.equal tests loaded);
   let vcd_path = Filename.temp_file "asc" ".vcd" in
   Asc_sim.Vcd.write_file vcd_path c ~si:tests.(0).si ~seq:tests.(0).seq;
-  let ic = open_in vcd_path in
-  let contents = really_input_string ic (in_channel_length ic) in
-  close_in ic;
+  let contents = Durable.read_file vcd_path in
   Sys.remove vcd_path;
   Alcotest.(check string) "vcd file = vcd string"
     (Asc_sim.Vcd.of_scan_test c ~si:tests.(0).si ~seq:tests.(0).seq)
-    contents
+    contents;
+  let bench_path = Filename.temp_file "asc" ".bench" in
+  Asc_netlist.Bench_io.write_file bench_path c;
+  let contents = Durable.read_file bench_path in
+  Sys.remove bench_path;
+  Alcotest.(check string) "bench file = bench string" (Asc_netlist.Bench_io.to_string c)
+    contents;
+  let writers =
+    [
+      ("tset", fun path -> Asc_scan.Tset_io.write_file path c tests);
+      ("vcd", fun path -> Asc_sim.Vcd.write_file path c ~si:tests.(0).si ~seq:tests.(0).seq);
+      ("bench", fun path -> Asc_netlist.Bench_io.write_file path c);
+    ]
+  in
+  List.iter
+    (fun (name, write) ->
+      let dir = Filename.temp_file "asc" ".dir" in
+      Sys.remove dir;
+      Sys.mkdir dir 0o755;
+      let raised = match write dir with () -> false | exception Sys_error _ -> true in
+      let tmp_left = Sys.file_exists (dir ^ ".tmp") in
+      Sys.rmdir dir;
+      Alcotest.(check bool) (name ^ " write onto a directory raises") true raised;
+      Alcotest.(check bool) (name ^ " write leaves no temp file") false tmp_left)
+    writers
 
 (* Partial-scan profile agrees with truncated partial detection, mirroring
    the full-scan property. *)

@@ -20,13 +20,11 @@ let () =
          Test_paper_shapes.suite;
          Test_collapse_rules.suite;
          Test_tools.suite;
-         Test_diag.suite;
          Test_partial_pipeline.suite;
          Test_truth_tables.suite;
          Test_podem_textbook.suite;
          Test_misc.suite;
          Test_more_edge.suite;
-         Test_seq_restore.suite;
          Test_cross.suite;
          Test_metamorphic.suite;
          Test_small_units.suite;

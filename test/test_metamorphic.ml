@@ -83,24 +83,6 @@ let prop_extension_keeps_po_detections =
         subset;
       !ok)
 
-(* A fault-free "defect" produces an all-pass observation, and diagnosis
-   then ranks genuinely-undetected faults (empty signatures) at distance
-   zero. *)
-let prop_all_pass_observation =
-  QCheck.Test.make ~name:"all-pass observation matches undetected faults" ~count:8
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let c = random_circuit seed in
-      let faults = Collapse.reps (Collapse.run c) in
-      let rng = Rng.create (seed + 114) in
-      let tests = random_tests c rng 5 in
-      let dict = Asc_diag.Diag.build c tests ~faults in
-      let observed = Bitvec.create (Array.length tests) in
-      let matches = Asc_diag.Diag.perfect_matches dict ~observed in
-      let coverage = Asc_scan.Tset.coverage c tests ~faults in
-      List.for_all (fun fi -> not (Bitvec.get coverage fi)) matches
-      && List.length matches = Array.length faults - Bitvec.count coverage)
-
 (* Injecting the same fault twice (same overrides listed twice) changes
    nothing: override application is idempotent. *)
 let prop_override_idempotent =
@@ -137,7 +119,6 @@ let suite =
         qtest prop_append_monotone;
         qtest prop_permutation_invariant;
         qtest prop_extension_keeps_po_detections;
-        qtest prop_all_pass_observation;
         qtest prop_override_idempotent;
       ] );
   ]

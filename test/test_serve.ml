@@ -649,13 +649,15 @@ let shutdown_server c =
   Alcotest.(check string) "shutdown golden response"
     "{\"ok\":true,\"op\":\"shutdown\",\"drained\":0}" (client_recv c)
 
-let submit_line ?(tset = false) ?timeout ?(seed = 1) circuit =
+let submit_line ?(tset = false) ?timeout ?(seed = 1) ?id circuit =
   let timeout_part =
     match timeout with None -> "" | Some t -> Printf.sprintf ",\"timeout\":%g" t
   in
-  Printf.sprintf "{\"op\":\"submit\",\"circuit\":%S,\"seed\":%d%s%s}" circuit seed
+  let id_part = match id with None -> "" | Some i -> Printf.sprintf ",\"id\":%d" i in
+  Printf.sprintf "{\"op\":\"submit\",\"circuit\":%S,\"seed\":%d%s%s%s}" circuit seed
     timeout_part
     (if tset then ",\"tset\":true" else "")
+    id_part
 
 let response_member resp key =
   match Json.parse resp with
@@ -1028,30 +1030,32 @@ let test_server_supervised () =
     let ref_s298 = reference "s298" and ref_s344 = reference "s344" in
     let state = Filename.concat dir "state" in
     (* Round 1: two jobs in flight on two workers, then shutdown — the
-       server must drain both before answering. *)
+       server must drain both before answering.  The three frames go out
+       in one write, so the server reads the shutdown before either job
+       can finish (a sleep between them let fast jobs finish first). *)
     let st =
       with_server ~state_dir:state ~args:[ "--workers"; "2" ] (fun sock ->
-          let c1 = client_connect sock in
-          let c2 = client_connect sock in
-          let c3 = client_connect sock in
-          Fun.protect ~finally:(fun () -> List.iter client_close [ c1; c2; c3 ])
-          @@ fun () ->
-          client_request c1 (submit_line ~tset:true "s298");
-          client_request c2 (submit_line ~tset:true "s344");
-          (* Give the server a moment to read both submits so the
-             shutdown finds work outstanding. *)
-          Unix.sleepf 0.3;
-          client_request c3 "{\"op\":\"shutdown\"}";
-          let r1 = client_recv c1 in
-          let r2 = client_recv c2 in
-          let sh = client_recv c3 in
-          List.iter (fun r -> check_bool_member r "ok" true) [ r1; r2; sh ];
+          let c = client_connect sock in
+          Fun.protect ~finally:(fun () -> client_close c) @@ fun () ->
+          client_send c
+            (String.concat "\n"
+               [
+                 submit_line ~tset:true ~id:1 "s298";
+                 submit_line ~tset:true ~id:2 "s344";
+                 "{\"op\":\"shutdown\"}\n";
+               ]);
+          (* Job responses arrive in completion order, the shutdown's
+             after both. *)
+          let jobs = [ client_recv c; client_recv c ] in
+          let sh = client_recv c in
+          List.iter (fun r -> check_bool_member r "ok" true) (sh :: jobs);
+          let job id = List.find (fun r -> int_member r "id" = id) jobs in
           Alcotest.(check string) "supervised s298 = one-shot" ref_s298
-            (str_member r1 "tset");
+            (str_member (job 1) "tset");
           Alcotest.(check string) "supervised s344 = one-shot" ref_s344
-            (str_member r2 "tset");
-          Alcotest.(check bool) "shutdown drained in-flight jobs" true
-            (int_member sh "drained" >= 1))
+            (str_member (job 2) "tset");
+          Alcotest.(check int) "shutdown drained both in-flight jobs" 2
+            (int_member sh "drained"))
     in
     Alcotest.(check bool) "clean supervised exit" true (st = Unix.WEXITED 0);
     (* Round 2: a restarted daemon serves the same submission from the
@@ -1337,19 +1341,20 @@ let test_server_obs_identity () =
           (contains prom_text "asc_job_e2e_seconds_bucket{le=\"+Inf\"} 2\n"))
       [ 1; 4 ]
 
-(* A Prometheus file that cannot be written (here: the path is a
-   directory) disables the writer after exactly one warning, never fails
-   the job, and leaves no <file>.tmp behind. *)
-let test_prom_write_failure () =
+(* A Prometheus or trace file that cannot be written (here: the path is
+   a directory) costs exactly one warning, never fails the job, and
+   leaves no <file>.tmp behind.  A failed Prometheus write disables the
+   writer; the trace is written once, at shutdown. *)
+let check_write_failure ~flag ~warning () =
   if not (Sys.file_exists asc_exe) then Alcotest.skip ()
   else
-    let dir = temp_dir "asc-prom-fail" in
+    let dir = temp_dir "asc-write-fail" in
     Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-    let prom = Filename.concat dir "prom.txt" in
-    Unix.mkdir prom 0o755;
+    let target = Filename.concat dir "target" in
+    Unix.mkdir target 0o755;
     let log = Filename.concat dir "server.log" in
     let st =
-      with_server ~log ~domains:1 ~args:[ "--prom-file"; prom ] (fun sock ->
+      with_server ~log ~domains:1 ~args:[ flag; target ] (fun sock ->
           let c = client_connect sock in
           Fun.protect ~finally:(fun () -> client_close c) @@ fun () ->
           client_request c (submit_line "s27");
@@ -1359,11 +1364,17 @@ let test_prom_write_failure () =
     Alcotest.(check bool) "server exits cleanly" true (st = Unix.WEXITED 0);
     let warnings =
       String.split_on_char '\n' (read_file log)
-      |> List.filter (fun l -> contains l "prometheus file")
+      |> List.filter (fun l -> contains l warning)
     in
     Alcotest.(check int) "exactly one warning" 1 (List.length warnings);
     Alcotest.(check bool) "no temp file left" false
-      (Sys.file_exists (prom ^ ".tmp"))
+      (Sys.file_exists (target ^ ".tmp"))
+
+let test_prom_write_failure =
+  check_write_failure ~flag:"--prom-file" ~warning:"prometheus file"
+
+let test_trace_write_failure =
+  check_write_failure ~flag:"--trace" ~warning:"trace dropped"
 
 (* --- Overload, shedding, jitter and staleness --------------------------- *)
 
@@ -1700,6 +1711,8 @@ let suite =
           test_server_obs_identity;
         Alcotest.test_case "a failed prometheus write leaves no temp file" `Slow
           test_prom_write_failure;
+        Alcotest.test_case "a failed trace write leaves no temp file" `Slow
+          test_trace_write_failure;
         Alcotest.test_case "backoff delays and full jitter stay in bounds"
           `Quick test_backoff_bounds;
         Alcotest.test_case "admission control rejects past --max-pending"

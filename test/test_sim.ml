@@ -195,6 +195,69 @@ let prop_engine3_x_state_refines =
         seq;
       !ok)
 
+(* The 3-valued oracle: per lane, Engine3 from a partly-X state computes
+   exactly what Naive.run3 computes, cycle by cycle and in the final
+   state. *)
+let prop_engine3_matches_naive3 =
+  QCheck.Test.make ~name:"Engine3 lanes match Naive.run3 from partly-X states"
+    ~count:40
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let c = random_profile seed in
+      let rng = Asc_util.Rng.create (seed + 4) in
+      let n_pis = Circuit.n_inputs c and n_ffs = Circuit.n_dffs c in
+      let len = 6 and lanes = 7 in
+      let inits =
+        Array.init lanes (fun _ ->
+            Array.init n_ffs (fun _ ->
+                if Asc_util.Rng.bool rng then None
+                else Some (Asc_util.Rng.bool rng)))
+      in
+      let seqs =
+        Array.init lanes (fun _ ->
+            Array.init len (fun _ -> Asc_util.Rng.bool_array rng n_pis))
+      in
+      let pack f =
+        let w = ref 0 in
+        for l = 0 to lanes - 1 do
+          if f l then w := Asc_util.Word.set !w l
+        done;
+        !w
+      in
+      let lane (z, o) l =
+        match (Asc_util.Word.get z l, Asc_util.Word.get o l) with
+        | true, false -> Some false
+        | false, true -> Some true
+        | false, false -> None
+        | true, true -> invalid_arg "lane both known-0 and known-1"
+      in
+      let e3 = Engine3.create c [] in
+      Engine3.set_state_words e3
+        ~z:(Array.init n_ffs (fun i -> pack (fun l -> inits.(l).(i) = Some false)))
+        ~o:(Array.init n_ffs (fun i -> pack (fun l -> inits.(l).(i) = Some true)));
+      let naive_runs =
+        Array.init lanes (fun l -> Naive.run3 c ~init:inits.(l) ~seq:seqs.(l))
+      in
+      let ok = ref true in
+      for t = 0 to len - 1 do
+        Engine3.eval_binary e3
+          ~pi_words:(Array.init n_pis (fun i -> pack (fun l -> seqs.(l).(t).(i))));
+        for l = 0 to lanes - 1 do
+          let expected = (fst naive_runs.(l)).(t) in
+          for po = 0 to Circuit.n_outputs c - 1 do
+            if lane (Engine3.po_word e3 po) l <> expected.(po) then ok := false
+          done
+        done;
+        Engine3.capture e3
+      done;
+      for l = 0 to lanes - 1 do
+        let expected = snd naive_runs.(l) in
+        for i = 0 to n_ffs - 1 do
+          if lane (Engine3.state_word e3 i) l <> expected.(i) then ok := false
+        done
+      done;
+      !ok)
+
 (* --- Overrides ------------------------------------------------------- *)
 
 (* Overrides are checked on both simulators: the kernel reports the
@@ -295,6 +358,7 @@ let suite =
         qtest prop_kernel_matches_naive;
         qtest prop_engine3_binary_matches_kernel;
         qtest prop_engine3_x_state_refines;
+        qtest prop_engine3_matches_naive3;
         Alcotest.test_case "override output" `Quick test_override_output_injection;
         Alcotest.test_case "override branch pin" `Quick test_override_input_pin_is_branch;
         Alcotest.test_case "override dff pin" `Quick test_override_dff_pin;

@@ -237,7 +237,8 @@ let test_trace_file () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
     (fun () ->
-      Tel.write_trace file s;
+      Asc_util.Durable.replace file
+        (Asc_util.Json.to_string ~compact:true (Tel.trace_json s) ^ "\n");
       let ic = open_in file in
       let text = really_input_string ic (in_channel_length ic) in
       close_in ic;
